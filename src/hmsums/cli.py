@@ -17,8 +17,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .dedekind_sums import (hecke_defect, reciprocity_defect,
-                            reduce_to_fundamental, sum_s)
+from .dedekind_sums import hecke_defect, reciprocity_defect, sum_s
 from .eta_engine import apex_point, classical_dedekind_s, classical_phi_R, phi
 from .field_arith import FieldData, ModMatrix, make_field, matrix_S
 from .lfunctions import l_a, period_defect
@@ -299,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--s", type=float, default=2.0)
     p.add_argument("--norm-bound", type=float, default=2000.0)
-    p.add_argument("--quad-order", type=int, default=16)
+    p.add_argument("--quad-order", type=int, default=16,
+                   help="initial node count of the periodic trapezoid")
     p.add_argument("--mu-cap", type=float, default=8000.0)
     p.set_defaults(fn=_cmd_theorem5)
 

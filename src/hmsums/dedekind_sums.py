@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .field_arith import (FieldData, OFElem, divide_exact, divmod_near,
                           ext_gcd, of_gcd, residues_mod)
-from .eta_engine import phi
+from .eta_engine import _insert, phi
 from .unit_domain import TruncationParams
 
 
@@ -46,10 +46,6 @@ def moebius_factor(c: OFElem, d: OFElem, z_hat: tuple, j: int) -> float:
     for w, k in zip(z_hat, _off_indices(F.n, j)):
         out *= w.imag / abs(c.emb(k) * w + d.emb(k)) ** 2
     return out
-
-
-def _insert(z_hat: tuple, j: int, zj: complex) -> tuple:
-    return z_hat[:j] + (zj,) + z_hat[j:]
 
 
 def _strip_gcd(d: OFElem, c: OFElem, j: int) -> tuple:

@@ -46,6 +46,11 @@ class SeriesValue:
     n_terms: int
 
 
+def _insert(z_hat: tuple, j: int, zj: complex) -> tuple:
+    """The point with off-components z_hat and component zj at index j."""
+    return z_hat[:j] + (zj,) + z_hat[j:]
+
+
 def omega(field: FieldData, z: tuple, j: int,
           trunc: TruncationParams = TruncationParams()) -> SeriesValue:
     """The exponential series Omega_j(z).

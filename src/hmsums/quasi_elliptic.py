@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field_arith import FieldData, ModMatrix, OFElem, identity
-from .eta_engine import phi
+from .eta_engine import _insert, phi
 from .unit_domain import TruncationParams
 
 
@@ -157,10 +157,6 @@ def matrix_from_unit(field: FieldData, p: OFElem, q: OFElem,
     if det != field.one:
         raise NotStable(f"relative norm of the unit is {det}, not 1")
     return field.matrix(a, b, c, d)
-
-
-def _insert(z_hat: tuple, j: int, zj: complex) -> tuple:
-    return z_hat[:j] + (zj,) + z_hat[j:]
 
 
 def psi(field: FieldData, A: ModMatrix, j: int = None,

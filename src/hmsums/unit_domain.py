@@ -39,10 +39,14 @@ class TruncationParams:
 
 
 def log_ratio(x: OFElem) -> float:
-    e = x.embeddings()
+    """ln|x_1| - ln|x_2|.  The smaller embedding a + b*w cancels badly in
+    floating point, so it is taken from the exact norm as N(x)/x_big."""
     if x.field.n == 1:
         return 0.0
-    return math.log(abs(e[0])) - math.log(abs(e[1]))
+    e1, e2 = x.embeddings()
+    if abs(e1) >= abs(e2):
+        return 2 * math.log(abs(e1)) - math.log(abs(x.norm()))
+    return math.log(abs(x.norm())) - 2 * math.log(abs(e2))
 
 
 def tp_orbit_rep(x: OFElem) -> tuple:

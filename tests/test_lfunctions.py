@@ -1,13 +1,21 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import numpy as np
+
+from hmsums import lfunctions
 from hmsums.field_arith import make_field, matrix_S
-from hmsums.lfunctions import (eis, eis_direct, eis_dz1, geodesic_arc,
-                               geodesic_period, l_a, l_a_deriv_report,
-                               period_defect, period_rhs, volume)
+from hmsums.lfunctions import (InvalidInput, eis, eis_direct, eis_dz1,
+                               geodesic_arc, geodesic_period, l_a,
+                               l_a_deriv_report, period_defect,
+                               period_integrand, period_rhs, volume)
 from hmsums.quasi_elliptic import NotQuasiElliptic, quasi_data
-from hmsums.unit_domain import TruncationParams
+from hmsums.unit_domain import TruncationParams, weighted_lattice
 
 F1 = make_field(1)
 F7 = make_field(7)
@@ -54,8 +62,9 @@ def test_l_a_rejects_elliptic():
 
 
 def test_l_a_requires_large_real_part():
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidInput):
         l_a(A1, 1.2, 100)
+    assert issubclass(InvalidInput, ValueError)
 
 
 # -- Eisenstein series ---------------------------------------------------------
@@ -89,6 +98,45 @@ def test_eis_degree_one_matches_direct():
         == pytest.approx(dv, abs=1e-4)
 
 
+def test_eis_pruning_skips_only_empty_lattices(monkeypatch):
+    # a low point, where about half the mu are pruned: every mu whose
+    # frequency lattice holds a point must still be enumerated
+    z, cap = (0.37 + 0.02j, -0.21 + 2.14j), 8000.0
+    found = []
+
+    def counted(*args):
+        out = weighted_lattice(*args)
+        found.append(out[0].size)
+        return out
+
+    monkeypatch.setattr(lfunctions, "weighted_lattice", counted)
+    eis(F7, z, 2.0, FAST, mu_cap=cap)
+    e1, e2 = lfunctions._unit_rep_arrays(F7, cap)
+    d1, d2 = np.abs(F7.different.embeddings())
+    alpha = 2 * math.pi * np.abs(e1) * z[0].imag / d1
+    beta = 2 * math.pi * np.abs(e2) * z[1].imag / d2
+    nonempty = sum(weighted_lattice(F7, a, b, FAST.weight_bound)[0].size > 0
+                   for a, b in zip(alpha, beta))
+    assert 0 < len(found) < e1.size
+    assert sum(k > 0 for k in found) == nonempty
+
+
+@pytest.mark.parametrize("z,s", [((0.2 + 0.9j,), 2.0),
+                                 ((0.2 + 0.9j, -0.3 - 1.2j), 2.0),
+                                 ((0.2 + 0.9j, -0.3), 2.0),
+                                 (Z2, 1.2)])
+def test_eis_rejects_bad_input(z, s):
+    with pytest.raises(InvalidInput):
+        eis(F7, z, s, FAST)
+    with pytest.raises(InvalidInput):
+        eis_dz1(F7, z, s, 0, FAST)
+
+
+def test_eis_direct_term_cap():
+    with pytest.raises(lfunctions.CapExceeded):
+        eis_direct(F7, Z2, 2.0, box=60.0, max_terms=10)
+
+
 @pytest.mark.parametrize("field,z,cap", [(F1, (0.3 + 1.1j,), 5000),
                                          (F7, Z2, 20000.0)])
 def test_eis_dz1_finite_difference(field, z, cap):
@@ -111,6 +159,59 @@ def test_geodesic_arc_chart():
     # endpoint is A(tau)
     assert d.A.moebius(d.j, arc.tau) == pytest.approx(arc.endpoint, abs=1e-12)
     assert arc.t_end == pytest.approx(d.eps_r1 ** 2, abs=1e-12)
+
+
+def test_geodesic_arc_rejects_bad_input():
+    qd = quasi_data(A1)
+    for t_base in (0.0, -1.0, float("nan")):
+        with pytest.raises(InvalidInput):
+            geodesic_arc(qd, t_base)
+    # data whose eigenvalue does not match A breaks the chart intertwining
+    wrong = dataclasses.replace(qd, eps_r1=1 / qd.eps_r1)
+    with pytest.raises(InvalidInput):
+        geodesic_arc(wrong)
+    with pytest.raises(InvalidInput):
+        geodesic_period(A1, 2.0, m=0)
+
+
+def test_bad_t_base_raises_under_optimize():
+    # the checks are exceptions, not asserts, so python -O keeps them
+    code = ("from hmsums.field_arith import make_field\n"
+            "from hmsums.lfunctions import InvalidInput, geodesic_period\n"
+            "F = make_field(7)\n"
+            "A = F.matrix((-2, -1), (1, 1), (3, 1), (-2, -1))\n"
+            "try:\n"
+            "    geodesic_period(A, 2.0, t_base=-1.0)\n"
+            "except InvalidInput:\n"
+            "    print('raised')\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    paths = [os.path.abspath(src), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised"
+
+
+def test_period_integrand_is_periodic():
+    # A-invariance of (d/dz_j) E_F dz_j: one period in u = log t apart
+    qd = quasi_data(A1)
+    arc = geodesic_arc(qd, 1 / abs(qd.eps_r1))
+    u0 = math.log(arc.t_base)
+    L = math.log(arc.t_end) - u0
+    for u in (u0, u0 + 0.3 * L):
+        f0 = period_integrand(arc, 2.0, u, FAST)
+        f1 = period_integrand(arc, 2.0, u + L, FAST)
+        assert abs(f0) > 0.1
+        assert f1 == pytest.approx(f0, abs=1e-8)
+
+
+def test_period_base_point_independence_degree_two():
+    p1, _ = geodesic_period(A1, 2.0, m=16, trunc=FAST, t_base=1.0,
+                            tol=1e-4, mu_cap=8000)
+    p2, _ = geodesic_period(A1, 2.0, m=16, trunc=FAST, tol=1e-4,
+                            mu_cap=8000)
+    assert p1 == pytest.approx(p2, abs=1e-7)
 
 
 def test_period_base_point_independence():

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hmsums.field_arith import make_field
 from hmsums.unit_domain import (TruncationParams, enumerate_tp_orbits,
@@ -14,6 +14,9 @@ SUPPORTED = [2, 3, 5, 7, 13]
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(SUPPORTED), st.integers(-30, 30), st.integers(-30, 30),
        st.integers(-4, 4))
+# x = -7(3 + sqrt 7) sits on the window edge, and the small embedding of
+# x * eta^4 cancels in floating point
+@example(D=7, a=-21, b=-7, k=3)
 def test_tp_rep_canonical_and_invariant(D, a, b, k):
     F = make_field(D)
     x = F.elem(a, b)
@@ -95,6 +98,20 @@ def test_weighted_lattice_quadratic():
     # Closed under negation.
     pairs = {(round(a, 9), round(b, 9)) for a, b in zip(e1, e2)}
     assert all((-a, -b) in pairs for a, b in pairs)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(SUPPORTED), st.floats(0.2, 20.0), st.floats(0.2, 20.0),
+       st.floats(0.5, 25.0))
+def test_weighted_lattice_norm_bound(D, alpha, beta, bound):
+    # |N(mu)| >= 1 and AM-GM: every weight is at least 2 sqrt(alpha beta),
+    # so the lattice is empty once 4 alpha beta > bound^2
+    F = make_field(D)
+    _, _, w = weighted_lattice(F, alpha, beta, bound)
+    floor = 2 * math.sqrt(alpha * beta)
+    assert (w >= floor * (1 - 1e-12)).all()
+    if 4 * alpha * beta > bound * bound:
+        assert w.size == 0
 
 
 def test_weighted_lattice_rational():
