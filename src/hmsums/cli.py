@@ -145,7 +145,7 @@ def _cmd_la(args):
     la = l_a(A, args.s, args.norm_bound, args.max_terms)
     return {"value_re": la.value.real, "value_im": la.value.imag,
             "tail_error": la.tail_error, "norm_bound": la.norm_bound,
-            "heuristic_tail": la.heuristic_tail}, True
+            "heuristic_tail": la.heuristic_tail, "n_terms": la.n_terms}, True
 
 
 def _cmd_theorem5(args):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field_arith import FieldData, ModMatrix
-from .unit_domain import (TruncationParams, enumerate_tp_orbits,
+from .unit_domain import (CapExceeded, TruncationParams, enumerate_tp_orbits,
                           tp_orbit_arrays, weighted_lattice)
 
 TWO_PI = 2.0 * math.pi
@@ -152,7 +152,8 @@ def omega(field: FieldData, z: tuple, j: int,
             mask = ((a != 0) | (bb != 0)) & (w <= B) \
                 & ((xi1 if j == 0 else xi2) > 0)
             n_terms += int(mask.sum())
-            assert n_terms <= trunc.max_terms, "series exceeds term cap"
+            if n_terms > trunc.max_terms:
+                raise CapExceeded("series exceeds term cap")
             phase = TWO_PI * (xi1[mask] * x[0] + xi2[mask] * x[1])
             total += complex(np.sum(np.exp(1j * phase - w[mask])
                                     / (idx * nrm[iv[mask]])))

@@ -234,57 +234,20 @@ class OFElem:
         return f"({self.a}+{self.b}{w})"
 
 
-def _kronecker(a: int, n: int) -> int:
-    """Kronecker symbol (a|n)."""
-    if n == 0:
-        return 1 if abs(a) == 1 else 0
-    sign = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            sign = -1
-    t = 0
-    while n % 2 == 0:
-        n //= 2
-        t += 1
-    if t:
-        if a % 2 == 0:
-            return 0
-        if t % 2 and a % 8 in (3, 5):
-            sign = -sign
-    a %= n
-    # Jacobi symbol (a|n) for odd n > 0.
-    result = sign
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
+def _zeta_minus_one(d_F: int) -> Fraction:
+    """zeta_F(-1) of the real quadratic field of discriminant d_F, exactly,
+    by Siegel's formula (Zagier, On the values at negative integers of the
+    zeta-function of a real quadratic field, 1976):
 
+        zeta_F(-1) = (1/60) sum sigma_1((d_F - b^2)/4)
 
-def _l_two(d_F: int, terms: int = 1_000_000) -> float:
-    """L(2, chi) for the quadratic character of discriminant d_F.
-
-    Plain character sum; the tail after N terms is below the first omitted
-    block, well under 1e-12 at the default cutoff.
+    over the integers b with b^2 < d_F and b = d_F (mod 2).
     """
-    chi = [_kronecker(d_F, r) for r in range(d_F)]
-    total = 0.0
-    # Sum in blocks of one full period, largest terms last.
-    for start in range(terms, 0, -d_F):
-        lo = max(1, start - d_F + 1)
-        block = 0.0
-        for m in range(lo, start + 1):
-            c = chi[m % d_F]
-            if c:
-                block += c / (m * m)
-        total += block
-    return total
+    r = math.isqrt(d_F - 1)
+    total = sum(sum(t for t in range(1, m + 1) if m % t == 0)
+                for m in ((d_F - b * b) // 4 for b in range(-r, r + 1)
+                          if (b - d_F) % 2 == 0))
+    return Fraction(total, 60)
 
 
 @lru_cache(maxsize=None)
@@ -318,8 +281,11 @@ def make_field(D: int) -> FieldData:
     assert e1 > 1
     R_F = math.log(e1)
     unit_index = 2 if eps.norm() == 1 else 4
-    zeta2 = (math.pi ** 2 / 6) * _l_two(d_F)
-    kappa = d_F * zeta2 / (4 * R_F * math.pi ** 3)
+    # functional equation: zeta_F(2) = 4 pi^4 zeta_F(-1) / d_F^(3/2), so
+    # kappa = d_F zeta_F(2) / (4 R_F pi^3) = pi zeta_F(-1) / (sqrt(d_F) R_F)
+    z = float(_zeta_minus_one(d_F))
+    zeta2 = 4 * math.pi ** 4 * z / d_F ** 1.5
+    kappa = math.pi * z / (math.sqrt(d_F) * R_F)
     return FieldData(D=D, n=2, d_F=d_F, basis_half=basis_half, w_embs=w_embs,
                      eps_coords=eps_coords, R_F=R_F, unit_index=unit_index,
                      zeta2=zeta2, kappa=kappa, euclid_steps=k_steps)

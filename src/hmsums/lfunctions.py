@@ -29,9 +29,9 @@ with exponential decay.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import gamma as _gamma, kv as _kv
@@ -39,14 +39,11 @@ from scipy.special import gamma as _gamma, kv as _kv
 from .field_arith import FieldData, ModMatrix
 from .eta_engine import _insert
 from .quasi_elliptic import QuasiEllipticData, quasi_data, psi, NotQuasiElliptic
-from .unit_domain import (TruncationParams, enumerate_module_orbits,
-                          enumerate_unit_orbits, weighted_lattice)
+from .unit_domain import (CapExceeded, TruncationParams,
+                          enumerate_unit_orbits, module_orbit_arrays,
+                          weighted_lattice)
 
 TWO_PI = 2.0 * math.pi
-
-
-class CapExceeded(RuntimeError):
-    pass
 
 
 class InvalidInput(ValueError):
@@ -63,7 +60,8 @@ class LASeriesValue:
 
     The tail uses the empirically linear growth of the orbit count: the
     density is measured on [X/2, X] and doubled.  heuristic_tail records
-    that this is a calibration, not a proof.
+    that this is a calibration, not a proof.  n_terms counts the orbit
+    representatives summed.
     """
 
     s: complex
@@ -71,6 +69,7 @@ class LASeriesValue:
     tail_error: float
     norm_bound: float
     heuristic_tail: bool = True
+    n_terms: int = 0
 
 
 def l_a(A: ModMatrix, s: complex, norm_bound: float = 2000.0,
@@ -81,19 +80,18 @@ def l_a(A: ModMatrix, s: complex, norm_bound: float = 2000.0,
         raise InvalidInput(f"calibrated tails require Re(s) >= 1.5, got {s}")
     data = quasi_data(A)
     X = float(norm_bound)
-    reps = enumerate_module_orbits(data, X, max_terms)
-    total = 0.0 + 0.0j
-    n_half = 0
-    for m, n in reps:
-        b1, b2, _ = data.beta_embs(m, n)
-        nrm = abs(float(data.norm_beta(m, n)))
-        total += math.copysign(1.0, b1 * b2) * cmath.exp(-s * math.log(nrm))
-        if nrm <= X / 2:
-            n_half += 1
+    orb = module_orbit_arrays(data, X, max_terms)
+    nrm = orb.norm_num.astype(float) / orb.norm_den
+    sign = np.sign(orb.beta_r1 * orb.beta_r2)
+    total = complex(np.sum(sign * np.exp(-s * np.log(nrm))))
+    # |N| <= X/2 decided exactly: norm_num <= floor(X |N_F(c)| / 2)
+    half = math.floor(Fraction(X) * orb.norm_den / 2)
+    n_reps = orb.norm_num.size
+    n_half = int(np.count_nonzero(orb.norm_num <= half))
     sigma = s.real
-    density = (len(reps) - n_half) / (X / 2)
+    density = (n_reps - n_half) / (X / 2)
     tail = 2.0 * density * X ** (1 - sigma) / (sigma - 1)
-    return LASeriesValue(s, data.sign_c_tr * total, tail, X)
+    return LASeriesValue(s, data.sign_c_tr * total, tail, X, n_terms=n_reps)
 
 
 # -- Eisenstein series by Poisson summation -----------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +21,26 @@ from .field_arith import FieldData, OFElem
 # Nudge for the floating-point window tests, so that elements landing exactly
 # on the window boundary (units themselves) are classified consistently.
 _EDGE = 1e-9
+
+# Candidate points the box kernel expands at once; bounds its working memory.
+_CHUNK = 2_000_000
+
+# Width, in log coordinates, of the cells that tile the module-orbit window.
+_CELL = 2.0
+
+# Widening of every cell box, in log coordinates: far above the rounding
+# error of the computed (u, v), so each point lies inside its cell's box.
+_MARGIN = 1e-6
+
+# Largest value the exact-norm arithmetic may meet in int64; beyond it the
+# arithmetic runs on Python ints.
+_INT64_LIMIT = 2 ** 63 - 1
+
+
+class CapExceeded(RuntimeError):
+    """An enumeration or series would exceed its term cap.
+
+    Raised instead of asserting, so the caps survive ``python -O``."""
 
 
 @dataclass(frozen=True)
@@ -83,6 +104,9 @@ def _box(field: FieldData, M1: float, M2: float, max_terms: int) -> tuple:
     embedding plane), enumerated row by row in the second coordinate.
 
     Returns flattened int64 arrays (A, B) with embeddings and exact norms.
+    This one centred box is the inner loop of the Eisenstein series, so it
+    stays a straight-line special case of the batch kernel _lattice_boxes:
+    through the kernel, a weighted_lattice call took 89 us instead of 55 us.
     """
     w1, w2 = field.w_embs
     Bb = math.floor((M1 + M2) / (w1 - w2)) + 1
@@ -91,10 +115,11 @@ def _box(field: FieldData, M1: float, M2: float, max_terms: int) -> tuple:
     hi = np.floor(np.minimum(M1 - b * w1, M2 - b * w2)).astype(np.int64)
     cnt = np.maximum(hi - lo + 1, 0)
     total = int(cnt.sum())
-    assert total <= max_terms, "lattice box too large"
+    if total > max_terms:
+        raise CapExceeded(f"lattice box too large: {total} points, "
+                          f"cap {max_terms}")
     B = np.repeat(b, cnt)
-    offs = np.concatenate(([0], np.cumsum(cnt)[:-1]))
-    A = np.arange(total, dtype=np.int64) - np.repeat(offs, cnt) + np.repeat(lo, cnt)
+    A = _ragged_arange(lo, cnt)
     e1 = A + B * w1
     e2 = A + B * w2
     if field.basis_half:
@@ -166,144 +191,267 @@ def enumerate_unit_orbits(field: FieldData, norm_bound: float,
     return [field.elem(int(a), int(b)) for a, b in zip(A[mask], B[mask])]
 
 
-def _box_intervals(field: FieldData, lo1: float, hi1: float,
-                   lo2: float, hi2: float, max_terms: int) -> list:
-    """Lattice elements whose embeddings lie in [lo1, hi1] x [lo2, hi2]."""
-    if lo1 > hi1 or lo2 > hi2:
-        return []
-    w1, w2 = field.w_embs
-    span = w1 - w2
-    b_lo = math.ceil((lo1 - hi2) / span)
-    b_hi = math.floor((hi1 - lo2) / span)
-    out = []
-    for b in range(b_lo, b_hi + 1):
-        a_lo = math.ceil(max(lo1 - b * w1, lo2 - b * w2))
-        a_hi = math.floor(min(hi1 - b * w1, hi2 - b * w2))
-        for a in range(a_lo, a_hi + 1):
-            out.append(field.elem(a, b))
-            assert len(out) <= max_terms, "lattice box too large"
-    return out
+_NO_INTS = np.zeros(0, dtype=np.int64)
 
 
-def _box_arrays(field: FieldData, lo1: float, hi1: float,
-                lo2: float, hi2: float, max_terms: int) -> tuple:
-    """Vectorized _box_intervals: int64 coordinate arrays (a, b)."""
-    if lo1 > hi1 or lo2 > hi2:
-        z = np.zeros(0, dtype=np.int64)
-        return z, z
-    w1, w2 = field.w_embs
+def _ragged_arange(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """start[i], start[i] + 1, ..., start[i] + count[i] - 1, concatenated."""
+    offs = np.cumsum(count) - count
+    return np.arange(int(count.sum()), dtype=np.int64) \
+        + np.repeat(start - offs, count)
+
+
+def _lattice_boxes(w: tuple, lo1, hi1, lo2, hi2, max_terms: int):
+    """Integer points a + b*w inside a batch of boxes: the one lattice-box
+    kernel of this module.
+
+    w = (w1, w2), w1 > w2, are the two real images of the second basis
+    vector of a rank-2 lattice whose first basis vector is 1 at both (the
+    basis {1, w} of O_F, or {1, omega} of Z + omega*Z).  Box i is
+    lo1[i] <= a + b*w1 <= hi1[i], lo2[i] <= a + b*w2 <= hi2[i]; its rows are
+    the b with b*(w1 - w2) in [lo1 - hi2, hi1 - lo2], each an interval of a.
+
+    Yields int64 arrays (owner, a, b), the points of box owner ordered by
+    box, then b, then a, in chunks of about _CHUNK points (a longer row is
+    a chunk of its own).  Raises CapExceeded, before expanding any point,
+    when the boxes hold more than max_terms rows or points.
+    """
+    w1, w2 = w
+    lo1, hi1, lo2, hi2 = (np.atleast_1d(np.asarray(x, dtype=float))
+                          for x in (lo1, hi1, lo2, hi2))
     span = w1 - w2
-    b = np.arange(math.ceil((lo1 - hi2) / span),
-                  math.floor((hi1 - lo2) / span) + 1, dtype=np.int64)
-    lo = np.ceil(np.maximum(lo1 - b * w1, lo2 - b * w2)).astype(np.int64)
-    hi = np.floor(np.minimum(hi1 - b * w1, hi2 - b * w2)).astype(np.int64)
+    b_lo = np.ceil((lo1 - hi2) / span)
+    nrow = np.maximum(np.floor((hi1 - lo2) / span) - b_lo + 1, 0)
+    nrow[(lo1 > hi1) | (lo2 > hi2)] = 0
+    if nrow.sum() > max_terms:
+        raise CapExceeded(f"lattice box too large: {nrow.sum():.0f} rows, "
+                          f"cap {max_terms}")
+    nrow = nrow.astype(np.int64)
+    owner = np.repeat(np.arange(nrow.size), nrow)
+    b = _ragged_arange(b_lo.astype(np.int64), nrow)
+    lo = np.ceil(np.maximum(lo1[owner] - b * w1,
+                            lo2[owner] - b * w2)).astype(np.int64)
+    hi = np.floor(np.minimum(hi1[owner] - b * w1,
+                             hi2[owner] - b * w2)).astype(np.int64)
     cnt = np.maximum(hi - lo + 1, 0)
-    total = int(cnt.sum())
-    assert total <= max_terms, "lattice box too large"
-    B = np.repeat(b, cnt)
-    offs = np.concatenate(([0], np.cumsum(cnt)[:-1]))
-    A = np.arange(total, dtype=np.int64) - np.repeat(offs, cnt) \
-        + np.repeat(lo, cnt)
-    return A, B
+    ends = np.cumsum(cnt)
+    if ends.size and ends[-1] > max_terms:
+        raise CapExceeded(f"lattice box too large: {ends[-1]} points, "
+                          f"cap {max_terms}")
+    start = 0
+    while start < cnt.size:
+        stop = max(start + 1, int(np.searchsorted(
+            ends, ends[start] - cnt[start] + _CHUNK, side="right")))
+        c = cnt[start:stop]
+        yield (np.repeat(owner[start:stop], c),
+               _ragged_arange(lo[start:stop], c), np.repeat(b[start:stop], c))
+        start = stop
+
+
+def _columns(parts: list, empty: tuple) -> tuple:
+    """Concatenate a list of equal-width tuples of arrays column by column;
+    `empty` fixes the width and dtypes when the list is empty."""
+    return tuple(np.concatenate(col) for col in zip(empty, *parts))
+
+
+# -- module orbits of quasi-elliptic data -------------------------------------
+
+class ModuleOrbits(NamedTuple):
+    """Representatives beta = m + n*omega of (M \\ 0)/U as arrays, one entry
+    per orbit, in the order of enumerate_module_orbits.
+
+    ma, mb, na, nb are the int64 O_F coordinates of m and n on {1, w}
+    (mb = nb = 0 over Q); beta_r1 > 0 and beta_r2 are the real images at the
+    hyperbolic embedding.  |N(beta)| = norm_num / norm_den exactly, with
+    norm_num = |N_F(c N_{K/F}(beta))| (int64, or Python ints in an object
+    array when int64 could overflow) and norm_den = |N_F(c)|.
+    """
+
+    ma: np.ndarray
+    mb: np.ndarray
+    na: np.ndarray
+    nb: np.ndarray
+    beta_r1: np.ndarray
+    beta_r2: np.ndarray
+    norm_num: np.ndarray
+    norm_den: int
+
+
+def _exact(arrays, bound: int) -> list:
+    """The integer arrays as int64 when no value computed from them exceeds
+    `bound` in absolute value, else as object arrays of Python ints."""
+    dtype = np.int64 if bound <= _INT64_LIMIT else object
+    return [np.asarray(x).astype(dtype) for x in arrays]
+
+
+def _rel_norms(data, ma, mb, na, nb) -> np.ndarray:
+    """|N_F(c m^2 + (a-d) m n - b n^2)| = |N_F(c)| |N(m + n omega)| for
+    coordinate arrays of m and n, in exact integer arithmetic.
+
+    Every product of two elements with coordinates at most K1 and K2 has
+    coordinates at most g*K1*K2, g = max(1 + q, 3) for w^2 = q (+ w), so the
+    relative norm has coordinates at most R = 3 g^2 C K^2 (C bounds the
+    matrix entries, K the inputs) and its norm at most (2 + q) R^2; each
+    stage runs in int64 only when its bound fits.
+    """
+    F, A = data.field, data.A
+    q = 0 if F.n == 1 else (F.D - 1) // 4 if F.basis_half else F.D
+    g = max(1 + q, 3)
+
+    def mul(x, y):
+        bd = x[1] * y[1]
+        return (x[0] * y[0] + q * bd,
+                x[0] * y[1] + x[1] * y[0] + (bd if F.basis_half else 0))
+
+    coef = [(e.a, e.b) for e in (A.c, A.a - A.d, A.b)]
+    C = max(abs(v) for e in coef for v in e)
+    K = max((int(np.abs(x).max()) for x in (ma, mb, na, nb) if x.size),
+            default=0)
+    ma, mb, na, nb = _exact((ma, mb, na, nb), 3 * g * g * C * K * K)
+    m, n = (ma, mb), (na, nb)
+    t = [mul(coef[0], mul(m, m)), mul(coef[1], mul(m, n)),
+         mul(coef[2], mul(n, n))]
+    x, y = (t[0][k] + t[1][k] - t[2][k] for k in range(2))
+    if F.n == 1:
+        return np.abs(x)
+    R = max((int(np.abs(v).max()) for v in (x, y) if v.size), default=0)
+    x, y = _exact((x, y), (2 + q) * R * R)
+    nrm = x * x - q * y * y + (x * y if F.basis_half else 0)
+    return np.abs(nrm)
+
+
+def _cell_edges(lo: float, hi: float) -> np.ndarray:
+    """Edges of about-_CELL-wide cells tiling [lo, hi); the first and last
+    are lo and hi exactly."""
+    return np.linspace(lo, hi, max(1, round((hi - lo) / _CELL)) + 1)
+
+
+def module_orbit_arrays(data, norm_bound: float,
+                        max_terms: int = 5_000_000) -> ModuleOrbits:
+    """Representatives of (M \\ 0)/U with |N(beta)| <= norm_bound, as arrays.
+
+    M = O_F + omega*O_F is the module attached to quasi-elliptic data; the
+    unit group U is generated by -1, the fundamental unit of F (acting as a
+    scalar) and the relative unit eps (acting through the matrix).  Orbits
+    are keyed by two log coordinates: u = ln|beta_r1/beta_r2|, shifted by
+    eps only, and in degree 2 v = ln|beta_r1 beta_r2| - ln|beta_c|^2,
+    shifted by the F-units only.  Half-open centred windows
+    [-Wu, Wu) x [-Wv, Wv) (nudged by _EDGE) pick the representative, and
+    beta_r1 > 0 folds the sign.
+
+    Cell covering.  The window is tiled by cells [u0, u1) x [v0, v1) about
+    _CELL wide.  On a cell, with P = |beta_r1 beta_r2|, T = ln X and
+    ln|N| = ln P + 2 ln|beta_c|, every representative satisfies
+    ln P <= (T + v1)/2, |beta_r1| <= e^((ln P + u1)/2),
+    |beta_r2| <= e^((ln P - u0)/2) and |beta_c| <= e^((T - v0)/4).  These
+    bounds, widened by _MARGIN in log coordinates, give the cell's box: an
+    n-box for the coefficient n, since beta_r1 - beta_r2 = n_j(omega_r1 -
+    omega_r2) and Im beta_c = n_k Im omega_c, and for each n an m-box
+    (over Q, one box in (m, n) directly).  The computed (u, v) of a point
+    differs from the exact one by rounding error only (at most 2e-14 over
+    the representatives of the worked matrices at X = 8000, against 40-digit
+    values), far below _MARGIN, so every representative whose computed
+    (u, v) falls in a cell lies inside that cell's box.  A point is kept
+    only in the cell its computed (u, v) falls in; the cells are disjoint
+    and cover the window, so no representative is lost or found twice.  The
+    window tests are the float tests of the orbit windows, and the norm
+    bound is decided exactly: |N_F(c N_{K/F}(beta))| <= floor(X) |N_F(c)|
+    in integers.
+
+    Candidates run through the box kernel in chunks of about _CHUNK points.
+    The output is sorted by n, then m, each by its second coordinate, then
+    its first.  Raises CapExceeded when one batch of boxes holds more than
+    max_terms candidates; every representative is a candidate, so this
+    caps the representatives too.
+    """
+    F = data.field
+    X = math.floor(norm_bound)
+    den = abs(data.A.c.norm())
+    if X < 1:
+        return ModuleOrbits(*(_NO_INTS,) * 4, np.zeros(0), np.zeros(0),
+                            _NO_INTS, den)
+    T = math.log(X)
+    j, k = data.j, 1 - data.j
+    r1, r2 = data.omega_r1, data.omega_r2
+    wc = data.omega_c[0] if F.n == 2 else None
+    Wu = abs(math.log(abs(data.eps_r1)))
+    u_edges = _cell_edges(-Wu - _EDGE, Wu - _EDGE)
+    v_edges = np.zeros(2) if F.n == 1 else \
+        _cell_edges(-2 * F.R_F - _EDGE, 2 * F.R_F - _EDGE)
+    n_v = v_edges.size - 1
+    # per cell, u-major: the box radii, each widened by _MARGIN in log scale
+    U0, V0 = (x.ravel() for x in np.meshgrid(u_edges[:-1], v_edges[:-1],
+                                             indexing="ij"))
+    U1, V1 = (x.ravel() for x in np.meshgrid(u_edges[1:], v_edges[1:],
+                                             indexing="ij"))
+    lnP = (T + V1) / 2 if F.n == 2 else np.full(U0.shape, T)
+    M1 = np.exp((lnP + U1) / 2 + _MARGIN)
+    M2 = np.exp((lnP - U0) / 2 + _MARGIN)
+    lo_r1 = -_MARGIN * M1               # beta_r1 > 0, with a margin
+
+    if F.n == 1:
+        # beta = m + n*omega with m, n in Z: one box per cell in (m, n)
+        chunks = ((cell, ma, np.zeros_like(ma), nb, np.zeros_like(nb))
+                  for cell, ma, nb in _lattice_boxes(
+                      (r1, r2), lo_r1, M1, -M2, M2, max_terms))
+    else:
+        M3 = np.exp((T - V0) / 4 + _MARGIN)
+
+        def by_embedding(box_j, box_k):
+            return box_j + box_k if j == 0 else box_k + box_j
+
+        span = r1 - r2
+        n_cell, n_a, n_b = _columns(list(_lattice_boxes(
+            F.w_embs, *by_embedding(((lo_r1 - M2) / span, (M1 + M2) / span),
+                                    (-M3 / wc.imag, M3 / wc.imag)),
+            max_terms)), (_NO_INTS,) * 3)
+        c = n_cell
+        nj, nk = n_a + n_b * F.w_embs[j], n_a + n_b * F.w_embs[k]
+        h = np.sqrt(np.maximum(M3[c] ** 2 - (nk * wc.imag) ** 2, 0.0))
+        m_boxes = by_embedding(
+            (np.maximum(lo_r1[c] - nj * r1, -M2[c] - nj * r2),
+             np.minimum(M1[c] - nj * r1, M2[c] - nj * r2)),
+            (-nk * wc.real - h, -nk * wc.real + h))
+        chunks = ((n_cell[i], ma, mb, n_a[i], n_b[i]) for i, ma, mb in
+                  _lattice_boxes(F.w_embs, *m_boxes, max_terms))
+
+    # the orbit-window tests, as float tests on the computed (u, v), and the
+    # cell test: a point counts only in the cell its (u, v) falls in
+    keep = []
+    for cell, ma, mb, na, nb in chunks:
+        mj, nj = ma + mb * F.w_embs[j], na + nb * F.w_embs[j]
+        b1 = mj + nj * r1
+        b2 = mj + nj * r2
+        ok = np.nonzero(b1 > 0)[0]
+        b1, b2, cell = b1[ok], b2[ok], cell[ok]
+        u = np.log(b1) - np.log(np.abs(b2))
+        hit = np.searchsorted(u_edges, u, side="right") - 1 == cell // n_v
+        if F.n == 2:
+            mk = ma[ok] + mb[ok] * F.w_embs[k]
+            nk = na[ok] + nb[ok] * F.w_embs[k]
+            bc2 = np.abs(mk + nk * wc) ** 2
+            v = np.log(b1 * np.abs(b2)) - np.log(bc2)
+            hit &= np.searchsorted(v_edges, v, side="right") - 1 == cell % n_v
+        sel = ok[hit]
+        keep.append((ma[sel], mb[sel], na[sel], nb[sel], b1[hit], b2[hit]))
+    ma, mb, na, nb, b1, b2 = _columns(keep, (_NO_INTS,) * 4
+                                      + (np.zeros(0),) * 2)
+    num = _rel_norms(data, ma, mb, na, nb)
+    sel = np.nonzero(num <= X * den)[0]
+    sel = sel[np.lexsort((ma[sel], mb[sel], na[sel], nb[sel]))]
+    return ModuleOrbits(ma[sel], mb[sel], na[sel], nb[sel], b1[sel], b2[sel],
+                        num[sel], den)
 
 
 def enumerate_module_orbits(data, norm_bound: float,
                             max_terms: int = 5_000_000) -> list:
-    """Representatives of nonzero (M \\ 0)/U for the rank-2 module
-    M = O_F + omega*O_F attached to quasi-elliptic data, where the unit
-    group U is generated by -1, the fundamental unit of F (acting as a
-    scalar) and the relative unit eps (acting through the matrix).
-
-    Returns a list of (m, n) pairs of O_F-elements (beta = m + n*omega)
-    with |N(beta)| <= norm_bound, one per orbit.  Orbits are keyed by two
-    log coordinates: u = ln|beta_r1/beta_r2| (shifted by eps only) and,
-    in degree 2, v = ln|beta_r1*beta_r2| - ln|beta_c|^2 (shifted by the
-    F-units only); half-open centered windows pick the representative, and
-    the sign is folded by requiring beta_r1 > 0.
-    """
+    """Representatives of (M \\ 0)/U with |N(beta)| <= norm_bound as a list
+    of (m, n) pairs of O_F-elements, beta = m + n*omega, one per orbit; see
+    module_orbit_arrays for the orbit windows."""
     F = data.field
-    X = math.floor(norm_bound)
-    if X < 1:
-        return []
-    T = math.log(X)
-    Wu = abs(math.log(abs(data.eps_r1)))
-    r1, r2 = data.omega_r1, data.omega_r2
-    if F.n == 1:
-        t_max = (T + Wu) / 2
-        M1 = M2 = math.exp(t_max) * (1 + 1e-12)
-        n_cap = int((M1 + M2) / (r1 - r2)) + 1
-        out = []
-        for nb in range(-n_cap, n_cap + 1):
-            lo = max(-nb * r1 - M1, -nb * r2 - M2)
-            hi = min(-nb * r1 + M1, -nb * r2 + M2)
-            for ma in range(math.ceil(lo), math.floor(hi) + 1):
-                m, n = F.elem(ma), F.elem(nb)
-                if not m and not n:
-                    continue
-                b1, b2, _ = data.beta_embs(m, n)
-                if b1 <= 0:
-                    continue
-                if abs(data.norm_beta(m, n)) > X:
-                    continue
-                u = math.log(abs(b1)) - math.log(abs(b2))
-                if -Wu - _EDGE <= u < Wu - _EDGE:
-                    out.append((m, n))
-                    assert len(out) <= max_terms
-        return out
-    Wv = 2 * F.R_F
-    S = (T + Wv) / 2
-    M1 = M2 = math.exp((S + Wu) / 2) * (1 + 1e-12)
-    M3 = math.exp(S / 2) * (1 + 1e-12)
-    wc = data.omega_c[0]
-    k_off = 1 - data.j
-    n_box = _box_intervals(
-        F if data.j == 0 else F,
-        *((-(M1 + M2) / (r1 - r2), (M1 + M2) / (r1 - r2),
-           -M3 / wc.imag, M3 / wc.imag) if data.j == 0 else
-          (-M3 / wc.imag, M3 / wc.imag,
-           -(M1 + M2) / (r1 - r2), (M1 + M2) / (r1 - r2))),
-        max_terms)
-    A = data.A
-    cn = abs(A.c.norm())
-    w_j, w_k = F.w_embs[data.j], F.w_embs[k_off]
-    cj, ck = A.c.emb(data.j), A.c.emb(k_off)
-    pj, pk = (A.a - A.d).emb(data.j), (A.a - A.d).emb(k_off)
-    qj, qk = A.b.emb(data.j), A.b.emb(k_off)
-    out = []
-    for n in n_box:
-        nj, nk = n.emb(data.j), n.emb(k_off)
-        lo_j = max(-nj * r1 - M1, -nj * r2 - M2)
-        hi_j = min(-nj * r1 + M1, -nj * r2 + M2)
-        lo_k = -nk * wc.real - M3
-        hi_k = -nk * wc.real + M3
-        iv = (lo_j, hi_j, lo_k, hi_k) if data.j == 0 else \
-            (lo_k, hi_k, lo_j, hi_j)
-        ma, mb = _box_arrays(F, *iv, max_terms=max_terms)
-        if ma.size == 0:
-            continue
-        mj = ma + mb * w_j
-        mk = ma + mb * w_k
-        b1 = mj + nj * r1
-        b2 = mj + nj * r2
-        bc2 = np.abs(mk + nk * wc) ** 2
-        # float image of N(beta): N_F(c N_rel(beta)) / N_F(c)
-        rel_j = cj * mj * mj + pj * mj * nj - qj * nj * nj
-        rel_k = ck * mk * mk + pk * mk * nk - qk * nk * nk
-        nrm = rel_j * rel_k / cn
-        mask = (b1 > 0) & (np.abs(b2) <= M2) & (np.sqrt(bc2) <= M3) \
-            & (np.abs(nrm) <= X * (1 + 1e-9)) & (np.abs(nrm) > 1e-9)
-        if not mask.any():
-            continue
-        u = np.log(b1[mask]) - np.log(np.abs(b2[mask]))
-        v = np.log(b1[mask] * np.abs(b2[mask])) - np.log(bc2[mask])
-        ok = (u >= -Wu - _EDGE) & (u < Wu - _EDGE) \
-            & (v >= -Wv - _EDGE) & (v < Wv - _EDGE)
-        for a, b in zip(ma[mask][ok], mb[mask][ok]):
-            m = F.elem(int(a), int(b))
-            if abs(data.norm_beta(m, n)) <= X:   # exact boundary check
-                out.append((m, n))
-                assert len(out) <= max_terms
-    return out
+    orb = module_orbit_arrays(data, norm_bound, max_terms)
+    return [(F.elem(a, b), F.elem(c, d)) for a, b, c, d in zip(
+        orb.ma.tolist(), orb.mb.tolist(), orb.na.tolist(), orb.nb.tolist())]
 
 
 def _eps_action(data, m: OFElem, n: OFElem, k: int) -> tuple:

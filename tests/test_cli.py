@@ -84,6 +84,7 @@ def test_la_report_fields(capsys):
     assert rep["value_re"] == pytest.approx(-1.2021, abs=5e-3)
     assert rep["value_im"] == 0.0
     assert rep["tail_error"] > 0
+    assert rep["n_terms"] == 386
 
 
 def test_verify_cocycle_campaign(capsys):

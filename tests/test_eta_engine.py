@@ -8,7 +8,7 @@ from hmsums.field_arith import make_field, matrix_S, residues_mod
 from hmsums.eta_engine import (apex_point, area_cocycle, classical_dedekind_s,
                                classical_ln_eta, classical_phi_R,
                                delta_cocycle, h_func, lam, omega, phi)
-from hmsums.unit_domain import TruncationParams
+from hmsums.unit_domain import CapExceeded, TruncationParams
 
 F1 = make_field(1)
 F7 = make_field(7)
@@ -99,6 +99,14 @@ def test_omega_conjugation_symmetry():
     a = omega(F7, z, 0, FAST).value
     b = omega(F7, zc, 0, FAST).value
     assert b == pytest.approx(a.conjugate(), abs=1e-12)
+
+
+def test_omega_term_cap():
+    # at this point the nu-box holds 32,037 points and the series 32,678
+    # terms, so a cap between them stops the series itself
+    z = (0.3 + 0.2j, 0.1 + 0.3j)
+    with pytest.raises(CapExceeded, match="series exceeds term cap"):
+        omega(F7, z, 0, TruncationParams(weight_bound=30.0, max_terms=32_300))
 
 
 def test_lam_translation_invariance():

@@ -62,6 +62,25 @@ def test_zeta2_reference(D, expected):
     assert fld(D).zeta2 == pytest.approx(expected, rel=1e-10)
 
 
+@pytest.mark.parametrize("D,value", [(2, Fraction(1, 12)), (3, Fraction(1, 6)),
+                                     (5, Fraction(1, 30)), (7, Fraction(2, 3)),
+                                     (13, Fraction(1, 6))])
+def test_zeta_closed_form(D, value):
+    # Siegel's zeta_F(-1), and zeta_F(2) = zeta(2) L(2, chi_d) summed with
+    # Hurwitz zeta values in 30 digits
+    import mpmath
+    from sympy.functions.combinatorial.numbers import kronecker_symbol
+    from hmsums.field_arith import _zeta_minus_one
+    F = fld(D)
+    d = F.d_F
+    assert _zeta_minus_one(d) == value
+    with mpmath.workdps(30):
+        L = sum(kronecker_symbol(d, r) * mpmath.zeta(2, mpmath.mpf(r) / d)
+                for r in range(1, d + 1)) / d ** 2
+        ref = float(mpmath.zeta(2) * L)
+    assert F.zeta2 == pytest.approx(ref, rel=2e-15)
+
+
 def test_kappa_rational_mode():
     F = fld(1)
     assert F.kappa == pytest.approx(1 / 12)

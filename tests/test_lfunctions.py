@@ -15,7 +15,8 @@ from hmsums.lfunctions import (InvalidInput, eis, eis_direct, eis_dz1,
                                l_a_deriv_report, period_defect,
                                period_integrand, period_rhs, volume)
 from hmsums.quasi_elliptic import NotQuasiElliptic, quasi_data
-from hmsums.unit_domain import TruncationParams, weighted_lattice
+from hmsums.unit_domain import (TruncationParams, enumerate_module_orbits,
+                                weighted_lattice)
 
 F1 = make_field(1)
 F7 = make_field(7)
@@ -23,6 +24,7 @@ FAST = TruncationParams(weight_bound=30.0)
 RT7 = math.sqrt(7)
 
 A1 = F7.matrix((-2, -1), (1, 1), (3, 1), (-2, -1))
+A1P = F7.matrix((18, 7), (39, 15), (9, 3), (18, 7))
 B1 = F1.matrix(2, 3, 1, 2)          # hyperbolic over Q with L != 0
 Z2 = (0.2 + 0.9j, -0.3 + 1.2j)
 
@@ -36,6 +38,33 @@ def test_l_a_value_and_tail():
     # doubling the bound moves the value by less than the reported tail
     la2 = l_a(A1, 2.0, 4000)
     assert abs(la2.value - la.value) < la.tail_error
+
+
+@pytest.mark.parametrize("A,value,tail,reps", [
+    (A1, -1.2020723317735222, 1.95e-4, 6297),
+    (A1P, 0.937421628191694, 3.79375e-4, 12273)])
+def test_l_a_pinned(A, value, tail, reps):
+    # L_A(2) by orbit summation at norm bound 8000
+    la = l_a(A, 2.0, 8000)
+    assert la.value.real == pytest.approx(value, rel=1e-12)
+    assert la.tail_error == pytest.approx(tail, rel=1e-12)
+    assert la.n_terms == reps
+
+
+def test_l_a_tail_counts_half_exactly():
+    # the tail's density counts orbits with |N| <= X/2; take X so that an
+    # orbit sits exactly on X/2
+    qd = quasi_data(A1)
+    norms = [abs(qd.norm_beta(m, n))
+             for m, n in enumerate_module_orbits(qd, 300)]
+    X = 2 * max(v for v in norms if v.denominator == 1 and v <= 150)
+    reps = [abs(qd.norm_beta(m, n)) for m, n in enumerate_module_orbits(qd, X)]
+    n_half = sum(v <= X / 2 for v in reps)
+    assert X / 2 in reps
+    la = l_a(A1, 2.0, float(X))
+    assert la.n_terms == len(reps)
+    assert la.tail_error == pytest.approx(
+        2.0 * (len(reps) - n_half) / (X / 2) / X, rel=1e-12)
 
 
 def test_l_a_inverse_negates():

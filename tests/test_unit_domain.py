@@ -1,12 +1,20 @@
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hmsums import unit_domain
 from hmsums.field_arith import make_field
-from hmsums.unit_domain import (TruncationParams, enumerate_tp_orbits,
-                                enumerate_unit_orbits, log_ratio, tp_orbit_rep,
-                                unit_orbit_rep, weighted_lattice)
+from hmsums.quasi_elliptic import quasi_data
+from hmsums.unit_domain import (CapExceeded, TruncationParams,
+                                enumerate_module_orbits, enumerate_tp_orbits,
+                                enumerate_unit_orbits, log_ratio,
+                                module_orbit_arrays, module_orbit_rep,
+                                tp_orbit_rep, unit_orbit_rep, weighted_lattice)
 
 SUPPORTED = [2, 3, 5, 7, 13]
 
@@ -120,6 +128,31 @@ def test_weighted_lattice_rational():
     assert sorted(e1) == [-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6]
 
 
+@pytest.mark.parametrize("w", [make_field(7).w_embs, make_field(5).w_embs,
+                               (1 + math.sqrt(3), 1 - math.sqrt(3))])
+def test_lattice_boxes_match_brute_force(w, monkeypatch):
+    # every integer point a + b*w of each box, ordered by box, b, a, and the
+    # same points whether expanded at once or in chunks of 7
+    rng = np.random.default_rng(11)
+    lo1, lo2 = rng.uniform(-9, 5, 6), rng.uniform(-9, 5, 6)
+    hi1, hi2 = lo1 + rng.uniform(-1, 8, 6), lo2 + rng.uniform(-1, 8, 6)
+    expect = [(i, a, b) for i in range(6) for b in range(-30, 31)
+              for a in range(-60, 61)
+              if lo1[i] <= a + b * w[0] <= hi1[i]
+              and lo2[i] <= a + b * w[1] <= hi2[i]]
+    for chunk in (2_000_000, 7):
+        monkeypatch.setattr(unit_domain, "_CHUNK", chunk)
+        parts = list(unit_domain._lattice_boxes(w, lo1, hi1, lo2, hi2, 10_000))
+        got = [tuple(map(int, p)) for part in parts for p in zip(*part)]
+        assert got == expect
+        # a chunk holds at most `chunk` points, or one row
+        assert all(p[0].size <= chunk
+                   or np.unique(p[0] * 1000 + p[2]).size == 1 for p in parts)
+        assert len(parts) > 1 if chunk == 7 else len(parts) == 1
+    with pytest.raises(CapExceeded):
+        list(unit_domain._lattice_boxes(w, lo1, hi1, lo2, hi2, 10))
+
+
 def test_truncation_params_validate():
     with pytest.raises(AssertionError):
         TruncationParams(weight_bound=-1.0)
@@ -127,20 +160,20 @@ def test_truncation_params_validate():
 
 # -- module orbits for quasi-elliptic data ------------------------------------
 
+_A1P = make_field(7).matrix((18, 7), (39, 15), (9, 3), (18, 7))
+
+
 def _a1_data():
-    from hmsums.quasi_elliptic import quasi_data
     F7 = make_field(7)
     return quasi_data(F7.matrix((-2, -1), (1, 1), (3, 1), (-2, -1)))
 
 
 def test_module_orbits_empty_below_min_norm():
-    from hmsums.unit_domain import enumerate_module_orbits
     assert enumerate_module_orbits(_a1_data(), 0.5) == []
 
 
 def test_module_orbit_rep_invariant():
-    from hmsums.unit_domain import (enumerate_module_orbits, module_orbit_rep,
-                                    _eps_action)
+    from hmsums.unit_domain import _eps_action
     qd = _a1_data()
     F = qd.field
     for m, n in enumerate_module_orbits(qd, 40.0):
@@ -152,25 +185,105 @@ def test_module_orbit_rep_invariant():
         assert module_orbit_rep(qd, -m, -n) == (m, n)
 
 
-def test_module_orbits_exhaustive_small():
-    # brute-force box reduced orbitwise finds exactly the enumerated set
-    from hmsums.unit_domain import enumerate_module_orbits, module_orbit_rep
-    qd = _a1_data()
+def _brute_reps(qd, X, box):
+    """Reference enumerator: every beta = m + n*omega with coordinates in
+    the box (|m.a|, |m.b|, |n.a|, |n.b|) <= box and |N(beta)| <= X,
+    reduced orbitwise with module_orbit_rep, in the enumeration order."""
     F = qd.field
-    reps = set(enumerate_module_orbits(qd, 20.0))
-    brute = set()
-    for ma in range(-5, 6):
-        for mb in range(-5, 6):
-            for na in range(-5, 6):
-                for nb in range(-5, 6):
-                    m, n = F.elem(ma, mb), F.elem(na, nb)
-                    if (m or n) and abs(qd.norm_beta(m, n)) <= 20:
-                        brute.add(module_orbit_rep(qd, m, n))
-    assert brute == reps
+    grids = np.meshgrid(*(np.arange(-r, r + 1) for r in box), indexing="ij")
+    ma, mb, na, nb = (g.ravel() for g in grids)
+    j = qd.j
+    mj, nj = ma + mb * F.w_embs[j], na + nb * F.w_embs[j]
+    nrm = np.abs((mj + nj * qd.omega_r1) * (mj + nj * qd.omega_r2))
+    if F.n == 2:
+        k = 1 - j
+        nrm = nrm * np.abs(ma + mb * F.w_embs[k]
+                           + (na + nb * F.w_embs[k]) * qd.omega_c[0]) ** 2
+    reps = set()
+    for i in np.nonzero((nrm > 0) & (nrm <= X * (1 + 1e-6)))[0]:
+        m, n = F.elem(int(ma[i]), int(mb[i])), F.elem(int(na[i]), int(nb[i]))
+        if abs(qd.norm_beta(m, n)) <= X:
+            reps.add(module_orbit_rep(qd, m, n))
+    return sorted(reps, key=lambda r: (r[1].b, r[1].a, r[0].b, r[0].a))
+
+
+def test_module_orbits_exhaustive_small():
+    # brute-force boxes reduced orbitwise find exactly the enumerated set, in
+    # the same order; the boxes hold every representative with room to spare
+    F1 = make_field(1)
+    cases = [(_a1_data(), 20.0, (5, 5, 5, 5)),
+             (quasi_data(_A1P), 20.0, (16, 7, 8, 4)),
+             (quasi_data(F1.matrix(2, 3, 1, 2)), 60.0, (14, 0, 8, 0))]
+    for qd, X, box in cases:
+        reps = enumerate_module_orbits(qd, X)
+        assert len(reps) > 10
+        assert reps == _brute_reps(qd, X, box)
+
+
+# orbit counts of (M \ 0)/U at norm bound 8000
+@pytest.mark.parametrize("name,count", [("A1", 6297), ("A1inv", 6297),
+                                        ("A1sq", 12594), ("A1P", 12273)])
+def test_module_orbit_counts_pinned(name, count):
+    A1 = _a1_data().A
+    A = {"A1": A1, "A1inv": A1.inv(), "A1sq": A1 * A1, "A1P": _A1P}[name]
+    orb = module_orbit_arrays(quasi_data(A), 8000.0)
+    assert orb.norm_num.size == count
+    assert (orb.beta_r1 > 0).all()
+    assert (orb.norm_num <= 8000 * orb.norm_den).all()
+
+
+def test_exact_norm_paths_agree(monkeypatch):
+    # int64 and Python-int arithmetic give the same norms, and the overflow
+    # guard moves huge coordinates to Python ints
+    qd = quasi_data(_A1P)
+    orb = module_orbit_arrays(qd, 8000.0)
+    coords = (orb.ma, orb.mb, orb.na, orb.nb)
+    fast = unit_domain._rel_norms(qd, *coords)
+    assert fast.dtype == np.int64
+    assert np.array_equal(fast, orb.norm_num)
+    monkeypatch.setattr(unit_domain, "_INT64_LIMIT", 0)
+    slow = unit_domain._rel_norms(qd, *coords)
+    assert slow.dtype == object
+    assert slow.tolist() == fast.tolist()
+    monkeypatch.undo()
+    big = [x[:50] * 10 ** 6 + 1 for x in coords]
+    exact = unit_domain._rel_norms(qd, *big)
+    assert exact.dtype == object
+    F = qd.field
+    ref = [abs(qd.rel_norm_num(F.elem(a, b), F.elem(c, d)).norm())
+           for a, b, c, d in zip(*(x.tolist() for x in big))]
+    assert exact.tolist() == ref
+    assert max(ref) > 2 ** 63
+
+
+def test_module_orbit_cap():
+    # at X = 500 the m-boxes of A1 span 1,089 rows and 2,950 candidates for
+    # 386 representatives
+    assert len(enumerate_module_orbits(_a1_data(), 500.0, 2950)) == 386
+    with pytest.raises(CapExceeded, match="2950 points"):
+        enumerate_module_orbits(_a1_data(), 500.0, max_terms=2000)
+    from hmsums import lfunctions
+    assert lfunctions.CapExceeded is CapExceeded
+
+
+def test_caps_raise_under_optimize():
+    # the term caps are exceptions, not asserts, so python -O keeps them
+    code = ("from hmsums.field_arith import make_field\n"
+            "from hmsums.unit_domain import CapExceeded, weighted_lattice\n"
+            "try:\n"
+            "    weighted_lattice(make_field(7), 0.01, 0.01, 30.0, 1000)\n"
+            "except CapExceeded:\n"
+            "    print('raised')\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    paths = [os.path.abspath(src), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised"
 
 
 def test_module_orbit_count_roughly_linear():
-    from hmsums.unit_domain import enumerate_module_orbits
     qd = _a1_data()
     c1 = len(enumerate_module_orbits(qd, 150.0))
     c2 = len(enumerate_module_orbits(qd, 300.0))
