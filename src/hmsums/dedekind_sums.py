@@ -23,8 +23,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .field_arith import (FieldData, OFElem, divide_exact, divmod_near,
                           ext_gcd, of_gcd, residues_mod)
-from .eta_engine import _insert, phi
-from .unit_domain import TruncationParams
+from .eta_engine import _insert, _y_rest, phi
+from .unit_domain import InvalidInput, TruncationParams
 
 
 def _off_indices(n: int, j: int):
@@ -33,9 +33,11 @@ def _off_indices(n: int, j: int):
 
 def check_zhat(field: FieldData, z_hat: tuple, j: int) -> tuple:
     z_hat = tuple(complex(w) for w in z_hat)
-    assert len(z_hat) == field.n - 1
-    assert all(w.imag > 0 for w in z_hat)
-    assert 0 <= j < field.n
+    if not (0 <= j < field.n and len(z_hat) == field.n - 1
+            and all(w.imag > 0 for w in z_hat)):
+        raise InvalidInput(f"need 0 <= j < {field.n} and {field.n - 1} "
+                           f"off-components in the upper half-plane, "
+                           f"got j={j}, {z_hat}")
     return z_hat
 
 
@@ -66,7 +68,8 @@ def sum_s(field: FieldData, d: OFElem, c: OFElem, z_hat: tuple, j: int = 0,
     A common factor of (c, d) is stripped first (the sum is invariant under
     scaling both arguments), so the inputs need not be coprime.
     """
-    assert c, "sum requires c != 0"
+    if not c:
+        raise InvalidInput("the sum requires c != 0")
     z_hat = check_zhat(field, z_hat, j)
     d, c = _strip_gcd(d, c, j)
     a, b = ext_gcd(c, d)
@@ -76,11 +79,9 @@ def sum_s(field: FieldData, d: OFElem, c: OFElem, z_hat: tuple, j: int = 0,
     z = _insert(z_hat, j, zj)
     p = phi(field, A, z=z, j=j, trunc=trunc)
     sgn = 1.0 if cj > 0 else -1.0
-    y_rest = 1.0
-    for w in z_hat:
-        y_rest *= w.imag
     return (-sgn * p + field.kappa / abs(cj)
-            * (a.emb(j) * moebius_factor(c, d, z_hat, j) + dj * y_rest))
+            * (a.emb(j) * moebius_factor(c, d, z_hat, j)
+               + dj * _y_rest(z_hat)))
 
 
 def fundamental_s(field: FieldData, z_hat: tuple, j: int = 0,
@@ -124,12 +125,11 @@ def reciprocity_rhs(field: FieldData, d: OFElem, c: OFElem, z_hat: tuple,
     """
     z_hat = check_zhat(field, z_hat, j)
     cj, dj = c.emb(j), d.emb(j)
-    assert cj > 0 and dj > 0
-    y_rest = 1.0
-    for w in z_hat:
-        y_rest *= w.imag
+    if not (cj > 0 and dj > 0):
+        raise InvalidInput(f"reciprocity requires c_j > 0 and d_j > 0, "
+                           f"got {cj}, {dj}")
     return (fundamental_s(field, z_hat, j, trunc) - 0.25
-            + field.kappa * ((dj / cj) * y_rest
+            + field.kappa * ((dj / cj) * _y_rest(z_hat)
                              + (cj / dj) * moebius_factor(field.one, field.zero, z_hat, j)
                              + (1 / (cj * dj)) * moebius_factor(c, d, z_hat, j)))
 
@@ -177,7 +177,8 @@ def reduce_to_fundamental(field: FieldData, d: OFElem, c: OFElem,
     constant accumulates the elementary reciprocity terms; no series
     evaluation happens here.
     """
-    assert c
+    if not c:
+        raise InvalidInput("the reduction requires c != 0")
     z_hat = check_zhat(field, z_hat, j)
     d, c = _strip_gcd(d, c, j)
     sign = 1.0
@@ -218,10 +219,7 @@ def reduce_to_fundamental(field: FieldData, d: OFElem, c: OFElem,
             steps.append("negate d (conjugation identity, sign flip)")
         # Reciprocity: s(d,c;w) = s(0,1;w) - s(c,d;1/conj(w)) - 1/4 + kappa*T.
         cj, dj = c.emb(j), d.emb(j)
-        yr = 1.0
-        for w in z_hat:
-            yr *= w.imag
-        T = ((dj / cj) * yr
+        T = ((dj / cj) * _y_rest(z_hat)
              + (cj / dj) * moebius_factor(field.one, field.zero, z_hat, j)
              + (1 / (cj * dj)) * moebius_factor(c, d, z_hat, j))
         terms.append((sign, z_hat))

@@ -26,16 +26,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field_arith import FieldData, ModMatrix
-from .unit_domain import (CapExceeded, TruncationParams, enumerate_tp_orbits,
-                          tp_orbit_arrays, weighted_lattice)
+from .unit_domain import (CapExceeded, InvalidInput, TruncationParams,
+                          _expand_rows, _half_diamond_rows,
+                          enumerate_tp_orbits, tp_orbit_arrays,
+                          weighted_lattice)
 
 TWO_PI = 2.0 * math.pi
 
 
 def check_uhp(field: FieldData, z: tuple) -> tuple:
     z = tuple(complex(w) for w in z)
-    assert len(z) == field.n, f"point has {len(z)} components, need {field.n}"
-    assert all(w.imag > 0 for w in z), "point must lie in the upper half-plane"
+    if len(z) != field.n or not all(w.imag > 0 for w in z):
+        raise InvalidInput(f"need {field.n} points in the upper half-plane, "
+                           f"got {z}")
     return z
 
 
@@ -51,6 +54,11 @@ def _insert(z_hat: tuple, j: int, zj: complex) -> tuple:
     return z_hat[:j] + (zj,) + z_hat[j:]
 
 
+def _y_rest(z_hat: tuple) -> float:
+    """prod_{k != j} y_k: the product of the heights of the off-components."""
+    return math.prod(w.imag for w in z_hat)
+
+
 def omega(field: FieldData, z: tuple, j: int,
           trunc: TruncationParams = TruncationParams()) -> SeriesValue:
     """The exponential series Omega_j(z).
@@ -59,6 +67,19 @@ def omega(field: FieldData, z: tuple, j: int,
     inner sum over mu in O_F \\ 0 with (mu*nu/delta)_j > 0 of
     exp(2*pi*i * sum_k xi_k x_k - 2*pi * sum_k |xi_k| y_k), xi = mu*nu/delta.
     Truncated at decay exponent weight_bound.
+
+    In degree 2 a term has weight alpha|mu_1| + beta|mu_2|, with
+    alpha = 2 pi y_1 |nu_1/delta_1| and beta = 2 pi y_2 |nu_2/delta_2|.
+    Each nu is balanced: nu*eta^k, eta the totally positive unit and
+    k = -round(ln(alpha/beta)/(2 ln eta_1)), gives the same terms, because
+    the inner sum runs over all mu and mu -> mu*eta^k is a bijection of
+    O_F \\ 0; N(eta) = 1 keeps alpha*beta, the norm cap and the tail.  The
+    kept mu = a + b*w form the half-diamond alpha|mu_1| + beta|mu_2| <= B,
+    xi_j > 0.  Its rows b lie between its three vertices, since
+    mu_1 - mu_2 = b(w_1 - w_2), and on each row the four constraints
+    +-alpha mu_1 +- beta mu_2 <= B and the sign of mu_j bound a to one
+    interval (unit_domain._half_diamond_rows).  The float tests w <= B and
+    xi_j > 0 still decide each term.
     """
     z = check_uhp(field, z)
     n, B = field.n, trunc.weight_bound
@@ -90,10 +111,7 @@ def omega(field: FieldData, z: tuple, j: int,
         tail += math.exp(-B) * max(1, len(nus))
         return SeriesValue(total, tail, n_terms)
 
-    # degree 2: one fused enumeration of all (nu-orbit, mu) pairs.  For each
-    # nu representative the mu-box |mu_1| <= B/alpha, |mu_2| <= B/beta is laid
-    # out row by row exactly as in the single-box enumerator, with the nu
-    # index carried along through repeats.
+    # degree 2: balance each nu by units, then expand its half-diamond
     nu_cap = (B / (4 * math.pi)) ** 2 * field.d_F / (y[0] * y[1])
     ne1, ne2, nrm = tp_orbit_arrays(field, nu_cap, trunc.max_terms)
     if ne1.size == 0:
@@ -102,67 +120,32 @@ def omega(field: FieldData, z: tuple, j: int,
     t2 = ne2 / d_embs[1]
     alpha = TWO_PI * y[0] * np.abs(t1)
     beta = TWO_PI * y[1] * np.abs(t2)
-    M1, M2 = B / alpha, B / beta
-    w1, w2 = field.w_embs
-    span = w1 - w2
-    Bb = np.floor((M1 + M2) / span).astype(np.int64) + 1
-    nb = 2 * Bb + 1
-    # The bounding boxes can be far larger than the surviving term count, so
-    # the (nu, row, mu) expansion is processed in bounded batches and only
-    # terms below the weight cutoff are charged against max_terms.
-    chunk = 2_000_000
-    row_ends = np.cumsum(nb)
-    total = 0.0 + 0.0j
-    n_terms = 0
-    start_nu = 0
-    while start_nu < nb.size:
-        stop_nu = max(start_nu + 1, int(np.searchsorted(
-            row_ends, (row_ends[start_nu - 1] if start_nu else 0) + chunk)))
-        nsl = slice(start_nu, min(stop_nu, nb.size))
-        start_nu = nsl.stop
-        nbs = nb[nsl]
-        rows = int(nbs.sum())
-        off1 = np.concatenate(([0], np.cumsum(nbs)[:-1]))
-        I1 = np.repeat(np.arange(nsl.start, nsl.stop), nbs)
-        b = np.arange(rows, dtype=np.int64) - np.repeat(off1 + Bb[nsl], nbs)
-        lo = np.ceil(np.maximum(-M1[I1] - b * w1,
-                                -M2[I1] - b * w2)).astype(np.int64)
-        hi = np.floor(np.minimum(M1[I1] - b * w1,
-                                 M2[I1] - b * w2)).astype(np.int64)
-        cnt = np.maximum(hi - lo + 1, 0)
-        ends = np.cumsum(cnt)
-        start_row = 0
-        while start_row < cnt.size:
-            stop_row = int(np.searchsorted(
-                ends, (ends[start_row - 1] if start_row else 0) + chunk)) + 1
-            sl = slice(start_row, min(stop_row, cnt.size))
-            csl = cnt[sl]
-            n_pairs = int(csl.sum())
-            start_row = sl.stop
-            if n_pairs == 0:
-                continue
-            off2 = np.concatenate(([0], np.cumsum(csl)[:-1]))
-            a = np.arange(n_pairs, dtype=np.int64) - np.repeat(off2, csl) \
-                + np.repeat(lo[sl], csl)
-            bb = np.repeat(b[sl], csl)
-            iv = np.repeat(I1[sl], csl)
-            xi1 = (a + bb * w1) * t1[iv]
-            xi2 = (a + bb * w2) * t2[iv]
-            w = TWO_PI * (y[0] * np.abs(xi1) + y[1] * np.abs(xi2))
-            mask = ((a != 0) | (bb != 0)) & (w <= B) \
-                & ((xi1 if j == 0 else xi2) > 0)
-            n_terms += int(mask.sum())
-            if n_terms > trunc.max_terms:
-                raise CapExceeded("series exceeds term cap")
-            phase = TWO_PI * (xi1[mask] * x[0] + xi2[mask] * x[1])
-            total += complex(np.sum(np.exp(1j * phase - w[mask])
-                                    / (idx * nrm[iv[mask]])))
     # Dropped inner terms: lattice points of weight > B; the count in a unit
     # weight shell is about 2(B+s)/(alpha*beta) per orbit.  Orbits beyond the
     # norm cap have every term below e^-B already.
     dens = 2.0 * (B + 2.0) / (alpha * beta) + 4.0
     tail = float(np.sum(dens / (idx * nrm))) * math.exp(-B) \
         / (1 - math.exp(-1.0)) + math.exp(-B) * max(1, int(ne1.size))
+    L = field.log_eta1
+    g = np.exp(-np.round(np.log(alpha / beta) / (2 * L)) * L)   # eta_1^k
+    t1, t2 = t1 * g, t2 / g
+    rows = _half_diamond_rows(field.w_embs, alpha * g, beta / g,
+                              np.sign(t1 if j == 0 else t2), j, B)
+    w1, w2 = field.w_embs
+    log_nrm = np.log(idx * nrm)
+    total = 0.0 + 0.0j
+    n_terms = 0
+    for iv, a, b in _expand_rows(*rows):
+        xi1 = (a + b * w1) * t1[iv]
+        xi2 = (a + b * w2) * t2[iv]
+        w = TWO_PI * (y[0] * np.abs(xi1) + y[1] * np.abs(xi2))
+        keep = np.nonzero((w <= B) & ((xi1 if j == 0 else xi2) > 0))[0]
+        n_terms += keep.size
+        if n_terms > trunc.max_terms:
+            raise CapExceeded("series exceeds term cap")
+        phase = TWO_PI * (xi1[keep] * x[0] + xi2[keep] * x[1])
+        total += complex(np.sum(np.exp(1j * phase - w[keep]
+                                       - log_nrm[iv[keep]])))
     return SeriesValue(total, tail, n_terms)
 
 
@@ -170,12 +153,8 @@ def lam(field: FieldData, z: tuple, j: int = 0,
         trunc: TruncationParams = TruncationParams()) -> complex:
     """Log-eta-type function Lambda_j(z); equals ln(eta(z)) when n = 1."""
     z = check_uhp(field, z)
-    y_rest = 1.0
-    for k in range(field.n):
-        if k != j:
-            y_rest *= z[k].imag
     om = omega(field, z, j, trunc)
-    return (1j * math.pi * field.kappa * z[j] * y_rest
+    return (1j * math.pi * field.kappa * z[j] * _y_rest(z[:j] + z[j + 1:])
             - math.sqrt(field.d_F) / (2 * field.R_F) * om.value)
 
 
@@ -197,7 +176,8 @@ def delta_cocycle(field: FieldData, A: ModMatrix, z: tuple, j: int = 0,
     the components (z_k)_{k != j} only.
     """
     z = check_uhp(field, z)
-    assert A.c, "defect formula requires c != 0"
+    if not A.c:
+        raise InvalidInput("the defect formula requires c != 0")
     Az = tuple(A.moebius(k, z[k]) for k in range(field.n))
     cj, dj = A.c.emb(j), A.d.emb(j)
     log_term = 0.25 * cmath.log(-((cj * z[j] + dj) ** 2))
@@ -225,10 +205,11 @@ def area_cocycle(A: ModMatrix, B: ModMatrix, j: int = 0) -> int:
 def apex_point(field: FieldData, A: ModMatrix) -> tuple:
     """Evaluation point (-d_k/c_k + i/|c_k|)_k at which the closed log term
     of the transformation defect vanishes exactly."""
+    if not A.c:
+        raise InvalidInput("the apex point requires c != 0")
     pt = []
     for k in range(field.n):
         ck, dk = A.c.emb(k), A.d.emb(k)
-        assert ck != 0
         pt.append(-dk / ck + 1j / abs(ck))
     return tuple(pt)
 
@@ -246,12 +227,8 @@ def phi(field: FieldData, A: ModMatrix, z: tuple = None, j: int = 0,
         if z is None:
             z = tuple(1j for _ in range(field.n))
         z = check_uhp(field, z)
-        y_rest = 1.0
-        for k in range(field.n):
-            if k != j:
-                y_rest *= z[k].imag
         bd = (A.b * A.d).emb(j)
-        return field.kappa * bd * y_rest
+        return field.kappa * bd * _y_rest(z[:j] + z[j + 1:])
     if z is None:
         z = apex_point(field, A)
     return delta_cocycle(field, A, z, j, trunc).imag / math.pi

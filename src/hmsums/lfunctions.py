@@ -37,19 +37,13 @@ import numpy as np
 from scipy.special import gamma as _gamma, kv as _kv
 
 from .field_arith import FieldData, ModMatrix
-from .eta_engine import _insert
+from .eta_engine import _insert, check_uhp
 from .quasi_elliptic import QuasiEllipticData, quasi_data, psi, NotQuasiElliptic
-from .unit_domain import (CapExceeded, TruncationParams,
+from .unit_domain import (CapExceeded, InvalidInput, TruncationParams,
                           enumerate_unit_orbits, module_orbit_arrays,
                           weighted_lattice)
 
 TWO_PI = 2.0 * math.pi
-
-
-class InvalidInput(ValueError):
-    """An argument outside the range where the evaluation is valid.
-
-    Raised instead of asserting, so the checks survive ``python -O``."""
 
 
 # -- the partial L-function ---------------------------------------------------
@@ -78,6 +72,8 @@ def l_a(A: ModMatrix, s: complex, norm_bound: float = 2000.0,
     s = complex(s)
     if not s.real >= 1.5:
         raise InvalidInput(f"calibrated tails require Re(s) >= 1.5, got {s}")
+    if not norm_bound >= 1:
+        raise InvalidInput(f"need norm_bound >= 1, got {norm_bound}")
     data = quasi_data(A)
     X = float(norm_bound)
     orb = module_orbit_arrays(data, X, max_terms)
@@ -145,10 +141,7 @@ def _eis_core(field: FieldData, z: tuple, s: float, j: int, want_deriv: bool,
     frequency inside the bound and is skipped without enumerating it.  The
     test only drops empty lattices, so the value does not change.
     """
-    z = tuple(complex(w) for w in z)
-    if len(z) != field.n or not all(w.imag > 0 for w in z):
-        raise InvalidInput(f"need {field.n} points in the upper half-plane, "
-                           f"got {z}")
+    z = check_uhp(field, z)
     s = float(s)
     if not s >= 1.5:
         raise InvalidInput(f"the truncation requires s >= 1.5, got {s}")

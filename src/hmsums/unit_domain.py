@@ -43,6 +43,12 @@ class CapExceeded(RuntimeError):
     Raised instead of asserting, so the caps survive ``python -O``."""
 
 
+class InvalidInput(ValueError):
+    """An argument outside the range where the evaluation is valid.
+
+    Raised instead of asserting, so the checks survive ``python -O``."""
+
+
 @dataclass(frozen=True)
 class TruncationParams:
     """Cutoffs for the exponential series.
@@ -56,7 +62,9 @@ class TruncationParams:
     max_terms: int = 5_000_000
 
     def __post_init__(self):
-        assert self.weight_bound > 0 and self.max_terms > 0
+        if not (self.weight_bound > 0 and self.max_terms > 0):
+            raise InvalidInput(f"need weight_bound > 0 and max_terms > 0, "
+                               f"got {self.weight_bound}, {self.max_terms}")
 
 
 def log_ratio(x: OFElem) -> float:
@@ -99,6 +107,13 @@ def unit_orbit_rep(x: OFElem) -> OFElem:
     return y if y.sign_emb(0) > 0 else -y
 
 
+def _norms(field: FieldData, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Exact norms of a + b*w for int64 coordinate arrays."""
+    if field.basis_half:
+        return A * A + A * B - B * B * ((field.D - 1) // 4)
+    return A * A - B * B * field.D
+
+
 def _box(field: FieldData, M1: float, M2: float, max_terms: int) -> tuple:
     """Lattice points with |e1| <= M1, |e2| <= M2 (a parallelogram in the
     embedding plane), enumerated row by row in the second coordinate.
@@ -120,13 +135,22 @@ def _box(field: FieldData, M1: float, M2: float, max_terms: int) -> tuple:
                           f"cap {max_terms}")
     B = np.repeat(b, cnt)
     A = _ragged_arange(lo, cnt)
-    e1 = A + B * w1
-    e2 = A + B * w2
-    if field.basis_half:
-        nrm = A * A + A * B - B * B * ((field.D - 1) // 4)
-    else:
-        nrm = A * A - B * B * field.D
-    return A, B, e1, e2, nrm
+    return A, B, A + B * w1, A + B * w2, _norms(field, A, B)
+
+
+def _in_window(e1, e2, nrm, X: int, W: float) -> np.ndarray:
+    """Mask of the points with 0 < |N| <= X and log-ratio
+    ln|e1| - ln|e2| in the window [-W, W), nudged by _EDGE."""
+    mask = (nrm != 0) & (np.abs(nrm) <= X)
+    t = np.where(mask, np.log(np.abs(np.where(mask, e1, 1.0)))
+                 - np.log(np.abs(np.where(mask, e2, 1.0))), 0.0)
+    return mask & (t >= -W - _EDGE) & (t < W - _EDGE)
+
+
+def _window_radius(X: int, W: float) -> float:
+    """Box radius |e1|, |e2| <= M holding every point with |N| <= X and
+    log-ratio in [-W, W)."""
+    return math.sqrt(X * math.exp(W)) * (1 + 1e-12)
 
 
 def enumerate_tp_orbits(field: FieldData, norm_bound: float,
@@ -142,32 +166,51 @@ def enumerate_tp_orbits(field: FieldData, norm_bound: float,
     if field.n == 1:
         return [field.elem(v) for v in range(-X, X + 1) if v]
     L = field.log_eta1
-    M = math.sqrt(X * math.exp(L)) * (1 + 1e-12)
-    A, B, e1, e2, nrm = _box(field, M, M, max_terms)
-    mask = (nrm != 0) & (np.abs(nrm) <= X)
-    t = np.where(mask, np.log(np.abs(np.where(mask, e1, 1.0)))
-                 - np.log(np.abs(np.where(mask, e2, 1.0))), 0.0)
-    mask &= (t >= -L - _EDGE) & (t < L - _EDGE)
+    A, B, e1, e2, nrm = _box(field, _window_radius(X, L), _window_radius(X, L),
+                             max_terms)
+    mask = _in_window(e1, e2, nrm, X, L)
     return [field.elem(int(a), int(b)) for a, b in zip(A[mask], B[mask])]
+
+
+# D -> (X, e1, e2, |N|): the representatives of enumerate_tp_orbits with
+# |N| <= X, sorted by |N|; tp_orbit_arrays grows X by doubling.
+_NU_TABLES: dict = {}
 
 
 def tp_orbit_arrays(field: FieldData, norm_bound: float,
                     max_terms: int = 5_000_000) -> tuple:
-    """enumerate_tp_orbits as raw arrays (e1, e2, |norm|), skipping element
-    construction; the series engines consume embeddings only."""
+    """The orbits of enumerate_tp_orbits as read-only arrays (e1, e2, |N|)
+    sorted by |N|: a slice of a per-field table, grown to
+    max(norm_bound, twice its old bound) when a call asks for more.  Raises
+    CapExceeded exactly when enumerate_tp_orbits' box at this bound holds
+    more than max_terms points, however large the table has grown."""
     assert field.n == 2
     X = math.floor(norm_bound)
     if X < 1:
         z = np.zeros(0)
         return z, z, z
-    L = field.log_eta1
-    M = math.sqrt(X * math.exp(L)) * (1 + 1e-12)
-    _, _, e1, e2, nrm = _box(field, M, M, max_terms)
-    mask = (nrm != 0) & (np.abs(nrm) <= X)
-    t = np.where(mask, np.log(np.abs(np.where(mask, e1, 1.0)))
-                 - np.log(np.abs(np.where(mask, e2, 1.0))), 0.0)
-    mask &= (t >= -L - _EDGE) & (t < L - _EDGE)
-    return e1[mask], e2[mask], np.abs(nrm[mask]).astype(float)
+    L, (w1, w2) = field.log_eta1, field.w_embs
+    M = _window_radius(X, L)
+    # _box's (2 Bb + 1) rows of at most 2M + 1 points bound its size
+    if (4 * M / (w1 - w2) + 3) * (2 * M + 1) > max_terms:
+        _box(field, M, M, max_terms)
+    table = _NU_TABLES.get(field.D)
+    if table is None or table[0] < X:
+        Xt = X if table is None else max(X, 2 * table[0])
+        M = _window_radius(Xt, L)
+        parts = []
+        for _, A, B in _lattice_boxes(field.w_embs, -M, M, -M, M, math.inf):
+            e1, e2, nrm = A + B * w1, A + B * w2, _norms(field, A, B)
+            mask = _in_window(e1, e2, nrm, Xt, L)
+            parts.append((e1[mask], e2[mask], np.abs(nrm[mask]).astype(float)))
+        cols = _columns(parts, (np.zeros(0),) * 3)
+        order = np.argsort(cols[2], kind="stable")
+        table = (Xt,) + tuple(c[order] for c in cols)
+        for c in table[1:]:
+            c.flags.writeable = False
+        _NU_TABLES[field.D] = table
+    n = int(np.searchsorted(table[3], X, side="right"))
+    return table[1][:n], table[2][:n], table[3][:n]
 
 
 def enumerate_unit_orbits(field: FieldData, norm_bound: float,
@@ -182,12 +225,9 @@ def enumerate_unit_orbits(field: FieldData, norm_bound: float,
     if field.n == 1:
         return [field.elem(v) for v in range(1, X + 1)]
     R = field.R_F
-    M = math.sqrt(X * math.exp(R)) * (1 + 1e-12)
-    A, B, e1, e2, nrm = _box(field, M, M, max_terms)
-    mask = (nrm != 0) & (np.abs(nrm) <= X) & (e1 > 0)
-    t = np.where(mask, np.log(np.abs(np.where(mask, e1, 1.0)))
-                 - np.log(np.abs(np.where(mask, e2, 1.0))), 0.0)
-    mask &= (t >= -R - _EDGE) & (t < R - _EDGE)
+    A, B, e1, e2, nrm = _box(field, _window_radius(X, R), _window_radius(X, R),
+                             max_terms)
+    mask = _in_window(e1, e2, nrm, X, R) & (e1 > 0)
     return [field.elem(int(a), int(b)) for a, b in zip(A[mask], B[mask])]
 
 
@@ -201,15 +241,32 @@ def _ragged_arange(start: np.ndarray, count: np.ndarray) -> np.ndarray:
         + np.repeat(start - offs, count)
 
 
+def _expand_rows(owner, b, lo, hi):
+    """The one lattice-row kernel of this module: row i holds the points
+    a + b[i]*w with int64 bounds lo[i] <= a <= hi[i].  Yields int64 arrays
+    (owner, a, b), ordered by row, then a, in chunks of about _CHUNK points
+    (a longer row is a chunk of its own)."""
+    cnt = np.maximum(hi - lo + 1, 0)
+    ends = np.cumsum(cnt)
+    start = 0
+    while start < cnt.size:
+        stop = max(start + 1, int(np.searchsorted(
+            ends, ends[start] - cnt[start] + _CHUNK, side="right")))
+        c = cnt[start:stop]
+        yield (np.repeat(owner[start:stop], c),
+               _ragged_arange(lo[start:stop], c), np.repeat(b[start:stop], c))
+        start = stop
+
+
 def _lattice_boxes(w: tuple, lo1, hi1, lo2, hi2, max_terms: int):
-    """Integer points a + b*w inside a batch of boxes: the one lattice-box
-    kernel of this module.
+    """Integer points a + b*w inside a batch of boxes.
 
     w = (w1, w2), w1 > w2, are the two real images of the second basis
     vector of a rank-2 lattice whose first basis vector is 1 at both (the
     basis {1, w} of O_F, or {1, omega} of Z + omega*Z).  Box i is
     lo1[i] <= a + b*w1 <= hi1[i], lo2[i] <= a + b*w2 <= hi2[i]; its rows are
-    the b with b*(w1 - w2) in [lo1 - hi2, hi1 - lo2], each an interval of a.
+    the b with b*(w1 - w2) in [lo1 - hi2, hi1 - lo2], each an interval of a,
+    and _expand_rows expands them.
 
     Yields int64 arrays (owner, a, b), the points of box owner ordered by
     box, then b, then a, in chunks of about _CHUNK points (a longer row is
@@ -233,19 +290,53 @@ def _lattice_boxes(w: tuple, lo1, hi1, lo2, hi2, max_terms: int):
                             lo2[owner] - b * w2)).astype(np.int64)
     hi = np.floor(np.minimum(hi1[owner] - b * w1,
                              hi2[owner] - b * w2)).astype(np.int64)
-    cnt = np.maximum(hi - lo + 1, 0)
-    ends = np.cumsum(cnt)
-    if ends.size and ends[-1] > max_terms:
-        raise CapExceeded(f"lattice box too large: {ends[-1]} points, "
+    total = int(np.maximum(hi - lo + 1, 0).sum())
+    if total > max_terms:
+        raise CapExceeded(f"lattice box too large: {total} points, "
                           f"cap {max_terms}")
-    start = 0
-    while start < cnt.size:
-        stop = max(start + 1, int(np.searchsorted(
-            ends, ends[start] - cnt[start] + _CHUNK, side="right")))
-        c = cnt[start:stop]
-        yield (np.repeat(owner[start:stop], c),
-               _ragged_arange(lo[start:stop], c), np.repeat(b[start:stop], c))
-        start = stop
+    yield from _expand_rows(owner, b, lo, hi)
+
+
+def _half_diamond_rows(w: tuple, alpha, beta, sign, j: int, bound: float):
+    """Rows (owner, b, lo, hi) for _expand_rows covering, for each i, the
+    half-diamond alpha[i]|mu_1| + beta[i]|mu_2| <= bound, sign[i]*mu_j > 0
+    of the points mu = a + b*w (w as in _lattice_boxes).
+
+    The rows and their intervals are those of eta_engine.omega's docstring,
+    with the four constraints written as |s a + u| <= bound and
+    |d a + v| <= bound (s, d = alpha +- beta, u, v = b(alpha w1 +- beta w2)).
+    Each end is widened by 1e-9 of the size of the terms it is computed
+    from, far above their rounding error.  The second pair is dropped when
+    |d| < 1e-4 s: it is ill-conditioned there and nearly implied by the row
+    range.  The rows hold every point of the half-diamond and few others,
+    so callers keep their own membership tests.
+    """
+    w1, w2 = w
+    span = w1 - w2
+    apex = sign * bound / alpha if j == 0 else -sign * bound / beta
+    side = bound / beta if j == 0 else bound / alpha
+    slack = 1e-9 * (np.abs(apex) + side) / span
+    b_lo = np.ceil(np.minimum(apex, -side) / span - slack)
+    nrow = np.maximum(np.floor(np.maximum(apex, side) / span + slack)
+                      - b_lo + 1, 0).astype(np.int64)
+    owner = np.repeat(np.arange(nrow.size), nrow)
+    b = _ragged_arange(b_lo.astype(np.int64), nrow)
+    al, be, sg = (np.repeat(x, nrow) for x in (alpha, beta, sign))
+    tol = 1e-9 * (bound + np.abs(b) * (al * abs(w1) + be * abs(w2)))
+    s, d = al + be, al - be
+    u = b * (al * w1 + be * w2)
+    pair = np.abs(d) >= 1e-4 * s
+    d = np.where(pair, d, np.inf)
+    c = -b * (al * w1 - be * w2) / d
+    r = np.where(pair, (bound + tol) / np.abs(d), np.inf)
+    edge = -b * (w1 if j == 0 else w2)
+    e_tol = 1e-9 * np.abs(edge)
+    lo = np.maximum(np.maximum((-u - bound - tol) / s, c - r),
+                    np.where(sg > 0, edge - e_tol, -np.inf))
+    hi = np.minimum(np.minimum((bound + tol - u) / s, c + r),
+                    np.where(sg < 0, edge + e_tol, np.inf))
+    return (owner, b, np.ceil(lo).astype(np.int64),
+            np.floor(hi).astype(np.int64))
 
 
 def _columns(parts: list, empty: tuple) -> tuple:

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -109,6 +112,56 @@ def test_omega_term_cap():
         omega(F7, z, 0, TruncationParams(weight_bound=30.0, max_terms=32_300))
 
 
+# Omega at B = 30 at a balanced, a low and a skewed point: the term counts,
+# tails and values (j = 0, 1) of the box enumeration the half-diamond rows
+# replaced
+OMEGA_PINNED = [
+    ((0.1 + 0.27j, -0.3 + 0.27j), 25562, 5.964933939011855e-10,
+     (1.3740382452110382 + 0.8760557334710397j),
+     (1.3740382452110382 - 2.4586258889726005j)),
+    ((0.2 + 0.08j, 0.4 + 0.9j), 26690, 6.020742364229884e-10,
+     (-0.09844307821270419 + 1.2841688679711534j),
+     (-0.09844307821270418 + 0.10028887541618378j)),
+    ((0.3 + 0.02j, -0.1 + 3.6j), 26670, 6.020742364229884e-10,
+     (-0.17816644019735825 - 0.015169578005838714j),
+     (-0.17816644019735828 + 1.1132630256527047j)),
+]
+
+
+@pytest.mark.parametrize("z, n_terms, tail, value0, value1", OMEGA_PINNED)
+def test_omega_pinned(z, n_terms, tail, value0, value1):
+    for j, value in enumerate((value0, value1)):
+        sv = omega(F7, z, j, FAST)
+        assert sv.n_terms == n_terms
+        assert sv.value == pytest.approx(value, rel=1e-12)
+        assert sv.tail_estimate == pytest.approx(tail, rel=1e-15)
+
+
+def test_input_checks_survive_optimize():
+    # a point off the upper half-plane and a zero c raise InvalidInput,
+    # not AssertionError, so python -O keeps the checks
+    code = ("from hmsums.field_arith import make_field\n"
+            "from hmsums.dedekind_sums import sum_s\n"
+            "from hmsums.eta_engine import apex_point, omega\n"
+            "from hmsums.unit_domain import InvalidInput\n"
+            "F = make_field(7)\n"
+            "calls = [lambda: omega(F, (0.1 + 0.5j, 0.2 - 0.1j), 0),\n"
+            "         lambda: apex_point(F, F.matrix(1, 1, 0, 1)),\n"
+            "         lambda: sum_s(F, F.one, F.zero, (0.3 + 1j,))]\n"
+            "for call in calls:\n"
+            "    try:\n"
+            "        call()\n"
+            "    except InvalidInput:\n"
+            "        print('raised')\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    paths = [os.path.abspath(src), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["raised"] * 3
+
+
 def test_lam_translation_invariance():
     z = (0.2 + 0.7j, 0.4 + 1.1j)
     q = F7.elem(1, 1)
@@ -119,10 +172,12 @@ def test_lam_translation_invariance():
 
 
 def test_lam_unit_scaling_invariance():
-    z = (0.2 + 0.7j, 0.4 + 1.1j)
+    # the second point is skewed (y_1/y_2 = 1/180), where unit balancing acts
     e1, e2 = F7.tp_unit.embeddings()
-    zu = (e1 * e1 * z[0], e2 * e2 * z[1])
-    assert lam(F7, zu, 0, FAST) == pytest.approx(lam(F7, z, 0, FAST), abs=1e-11)
+    for z in [(0.2 + 0.7j, 0.4 + 1.1j), (0.3 + 0.02j, -0.1 + 3.6j)]:
+        zu = (e1 * e1 * z[0], e2 * e2 * z[1])
+        assert lam(F7, zu, 0, FAST) \
+            == pytest.approx(lam(F7, z, 0, FAST), abs=1e-11)
 
 
 def test_transformation_defect_purely_imaginary():

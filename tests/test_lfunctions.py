@@ -96,6 +96,15 @@ def test_l_a_requires_large_real_part():
     assert issubclass(InvalidInput, ValueError)
 
 
+@pytest.mark.parametrize("norm_bound", [0, 0.5])
+def test_l_a_rejects_norm_bound_below_one(norm_bound):
+    # 0 used to divide by zero in the tail, 0.5 to return 0 with a zero tail
+    with pytest.raises(InvalidInput):
+        l_a(A1, 2.0, norm_bound)
+    from hmsums import unit_domain
+    assert InvalidInput is unit_domain.InvalidInput
+
+
 # -- Eisenstein series ---------------------------------------------------------
 
 def test_eis_positive():

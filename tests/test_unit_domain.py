@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from hmsums import unit_domain
 from hmsums.field_arith import make_field
 from hmsums.quasi_elliptic import quasi_data
-from hmsums.unit_domain import (CapExceeded, TruncationParams,
+from hmsums.unit_domain import (CapExceeded, InvalidInput, TruncationParams,
                                 enumerate_module_orbits, enumerate_tp_orbits,
                                 enumerate_unit_orbits, log_ratio,
                                 module_orbit_arrays, module_orbit_rep,
@@ -153,8 +153,81 @@ def test_lattice_boxes_match_brute_force(w, monkeypatch):
         list(unit_domain._lattice_boxes(w, lo1, hi1, lo2, hi2, 10))
 
 
+def _half_diamond_points(F, alpha, beta, sign, j, bound):
+    """The rows' points and the row count, and the same diamonds by brute
+    force: the whole box |mu_1| <= bound/alpha, |mu_2| <= bound/beta with
+    the weight and sign tests."""
+    rows = unit_domain._half_diamond_rows(F.w_embs, alpha, beta, sign, j,
+                                          bound)
+    cand = [(int(i), int(a), int(b))
+            for part in unit_domain._expand_rows(*rows)
+            for i, a, b in zip(*part)]
+    brute = set()
+    for i in range(alpha.size):
+        A, B, e1, e2, _ = unit_domain._box(F, bound / alpha[i],
+                                           bound / beta[i], 10 ** 7)
+        keep = (alpha[i] * np.abs(e1) + beta[i] * np.abs(e2) <= bound) \
+            & (sign[i] * (e1 if j == 0 else e2) > 0)
+        brute |= {(i, int(a), int(b)) for a, b in zip(A[keep], B[keep])}
+    return cand, rows[0].size, brute
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SUPPORTED), st.sampled_from([0, 1]),
+       st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(-2.0, 10.0),
+                          st.sampled_from([1.0, -1.0])), min_size=1,
+                max_size=3),
+       st.floats(1.0, 30.0))
+# alpha = beta exactly: the second pair of constraints is dropped
+@example(D=7, j=0, diamonds=[(0.0, 6.0, 1.0), (0.0, 3.0, -1.0)], bound=20.0)
+def test_half_diamond_rows_match_brute_force(D, j, diamonds, bound):
+    # each diamond: log(alpha/beta), log of its area bound^2/(alpha beta)
+    # and the sign of mu_j; the rows hold exactly the brute-force points
+    # that pass the weight and sign tests, and at most two others a row
+    F = make_field(D)
+    w1, w2 = F.w_embs
+    rho, area, sign = (np.array(c) for c in zip(*diamonds))
+    ab = bound * bound / np.exp(area)
+    alpha, beta = np.sqrt(ab * np.exp(rho)), np.sqrt(ab / np.exp(rho))
+    cand, n_rows, brute = _half_diamond_points(F, alpha, beta, sign, j, bound)
+    assert len(set(cand)) == len(cand)
+    pts = np.array(cand, dtype=np.int64).reshape(-1, 3)
+    i, a, b = pts.T
+    e1, e2 = a + b * w1, a + b * w2
+    keep = (alpha[i] * np.abs(e1) + beta[i] * np.abs(e2) <= bound) \
+        & (sign[i] * (e1 if j == 0 else e2) > 0)
+    assert set(map(tuple, pts[keep].tolist())) == brute
+    assert len(cand) <= len(brute) + 2 * n_rows
+
+
+def test_nu_table_slice_matches_fresh_enumeration(monkeypatch):
+    # the table grows 40 -> 300 -> 600; its slices are still the orbits of
+    # a fresh enumeration, sorted by |N|, and the caps are those of that
+    # enumeration's box
+    monkeypatch.setattr(unit_domain, "_NU_TABLES", {})
+    F = make_field(7)
+    for X in (40.0, 300.0, 310.0):
+        unit_domain.tp_orbit_arrays(F, X)
+    assert unit_domain._NU_TABLES[7][0] == 600
+    for X in (1.0, 40.0, 75.5, 310.0):
+        e1, e2, nrm = unit_domain.tp_orbit_arrays(F, X)
+        assert not e1.flags.writeable
+        assert (np.diff(nrm) >= 0).all()
+        fresh = enumerate_tp_orbits(F, X)
+        assert sorted(zip(e1.tolist(), e2.tolist(), nrm.tolist())) == sorted(
+            (r.emb(0), r.emb(1), float(abs(r.norm()))) for r in fresh)
+    with pytest.raises(CapExceeded) as fresh_err:
+        enumerate_tp_orbits(F, 40.0, max_terms=300)
+    with pytest.raises(CapExceeded) as table_err:
+        unit_domain.tp_orbit_arrays(F, 40.0, max_terms=300)
+    assert str(table_err.value) == str(fresh_err.value)
+    n_box = int(str(fresh_err.value).split()[4])
+    assert unit_domain.tp_orbit_arrays(F, 40.0, max_terms=n_box)[0].size \
+        == len(enumerate_tp_orbits(F, 40.0))
+
+
 def test_truncation_params_validate():
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidInput):
         TruncationParams(weight_bound=-1.0)
 
 
