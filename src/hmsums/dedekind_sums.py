@@ -18,11 +18,10 @@ s_j(0, 1; .), and the Hecke eigenvalue identity.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
-from .field_arith import (FieldData, OFElem, divide_exact, divmod_near,
-                          ext_gcd, of_gcd, residues_mod)
+from .field_arith import (FieldData, NotCoprime, OFElem, divide_exact,
+                          divmod_near, ext_gcd, of_gcd, residues_mod)
 from .eta_engine import _insert, _y_rest, phi
 from .unit_domain import InvalidInput, TruncationParams
 
@@ -211,7 +210,7 @@ def reduce_to_fundamental(field: FieldData, d: OFElem, c: OFElem,
             steps.append("negate c (conjugation identity)")
         if not d:
             # d = 0 with c non-unit cannot occur for coprime input.
-            raise AssertionError("inputs were not coprime")
+            raise NotCoprime("inputs were not coprime")
         if d.sign_emb(j) < 0:
             d = -d
             sign = -sign
@@ -244,7 +243,8 @@ def hecke_transform(field: FieldData, d: OFElem, c: OFElem, z_hat: tuple,
     come from the same translate of the full evaluation point, whose
     distinguished component carries -d_j/c_j.
     """
-    assert p.is_totally_positive()
+    if not p.is_totally_positive():
+        raise InvalidInput(f"the Hecke operator needs p >> 0, got {p}")
     z_hat = check_zhat(field, z_hat, j)
     idx = _off_indices(field.n, j)
     out = sum_s(field, d * p, c,

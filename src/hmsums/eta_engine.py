@@ -25,11 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field_arith import FieldData, ModMatrix
-from .unit_domain import (CapExceeded, InvalidInput, TruncationParams,
-                          _expand_rows, _half_diamond_rows,
-                          enumerate_tp_orbits, tp_orbit_arrays,
-                          weighted_lattice)
+from .field_arith import FieldData, InvalidInput, ModMatrix, kronecker
+from .unit_domain import (CapExceeded, TruncationParams, _expand_rows,
+                          _half_diamond_rows, _norms)
 
 TWO_PI = 2.0 * math.pi
 
@@ -59,93 +57,144 @@ def _y_rest(z_hat: tuple) -> float:
     return math.prod(w.imag for w in z_hat)
 
 
+# D -> (X, start, sig, tau, r): omega's per-field table (_ideal_sums).
+_IDEAL_SUMS: dict = {}
+
+
+def _geom(p, e):
+    """1 + p + ... + p^e (e may be an integer array)."""
+    return (p ** (e + 1) - 1) // (p - 1)
+
+
+def _prime_powers(g: int):
+    """(p, v_p(g)) for the primes p dividing g, by trial division."""
+    p = 2
+    while g > 1:
+        p, k = (p if p * p <= g else g), 0
+        while g % p == 0:
+            g, k = g // p, k + 1
+        if k:
+            yield p, k
+        p += 1
+
+
+def _ideal_sums(field: FieldData, X: int) -> tuple:
+    """(start, sig, tau, r) for every m in O_F with N = |N(m)| <= X: for m
+    of content g (1 over Q), sig and tau hold sigma_{-1}((m)) and tau((m))
+    at start[g] + N // g^2; r[n] = sum_{d | n} chi(d) counts the ideals of
+    norm n (1 over Q).  A larger X rebuilds it at max(X, twice the old).
+
+    One sieve over the divisor pairs N = k e, k <= e, gives sigma_1(N),
+    d(N) and r(N).  For p | g with chi(p) != 0, k = v_p(g), n = v_p(N),
+    the factors _geom(p, n) of sigma_1(N) and n+1 of d(N) become
+    _geom(p, k) _geom(p, n-k) and (k+1)(n-k+1) for split p, and
+    _geom(p^2, k) and k+1 for inert p: exact integers throughout.
+    """
+    table = _IDEAL_SUMS.get(field.D)
+    if table is not None and table[0] >= X:
+        return table[1:]
+    X = max(X, 1) if table is None else max(X, 2 * table[0])
+    d_F, G, ints = field.d_F, math.isqrt(X), np.arange(X + 1)
+    chi = np.resize([kronecker(d_F, a or d_F) for a in range(d_F)], X + 1)
+    s1, dN, r = (np.zeros(X + 1, dtype=np.int64) for _ in range(3))
+    for k in range(1, G + 1):                   # N = k e for e = k..X//k
+        s1[k * k::k] += k + ints[k:X // k + 1]
+        dN[k * k::k] += 2
+        r[k * k::k] += chi[k] + chi[k:X // k + 1]
+        s1[k * k] -= k                          # N = k^2 counted once
+        dN[k * k] -= 1
+        r[k * k] -= chi[k]
+    if field.n == 1:
+        r[1:] = 1
+    start = np.concatenate(([0, 0], np.cumsum(X // ints[1:G + 1] ** 2 + 1)))
+    sig, tau = np.zeros(start[-1]), np.zeros(start[-1], dtype=np.int64)
+    for g in range(1, G + 1):
+        q = ints[1:X // (g * g) + 1]                # N / g^2
+        num, cnt = s1[g * g * q], dN[g * g * q]
+        for p, k in _prime_powers(g) if field.n == 2 else ():
+            if not chi[p]:
+                continue
+            n = 2 * k + sum(q % p ** i == 0
+                            for i in range(1, int(math.log(q[-1], p)) + 2))
+            split = chi[p] > 0
+            num = num // _geom(p, n) * (_geom(p, k) * _geom(p, n - k)
+                                        if split else _geom(p * p, k))
+            cnt = cnt // (n + 1) * (k + 1) * ((n - k + 1) if split else 1)
+        sig[start[g] + 1:start[g + 1]] = num / (g * g * q)
+        tau[start[g] + 1:start[g + 1]] = cnt
+    _IDEAL_SUMS[field.D] = (X, start, sig, tau, r)
+    return start, sig, tau, r
+
+
 def omega(field: FieldData, z: tuple, j: int,
           trunc: TruncationParams = TruncationParams()) -> SeriesValue:
-    """The exponential series Omega_j(z).
+    """The exponential series Omega_j(z): over nu in (O_F \\ 0)/U_F^+,
+    weighted by 1/([U_F:U_F^+] |N(nu)|), and mu in O_F \\ 0 with xi_j > 0,
+    xi = mu*nu/delta, the sum of e(xi, z) = exp(2*pi*i * sum_k xi_k x_k - w),
+    w = 2*pi * sum_k |xi_k| y_k, truncated at w <= B = weight_bound.
 
-    Outer sum over nu in (O_F \\ 0)/U_F^+ weighted by 1/([U_F:U_F^+] |N(nu)|),
-    inner sum over mu in O_F \\ 0 with (mu*nu/delta)_j > 0 of
-    exp(2*pi*i * sum_k xi_k x_k - 2*pi * sum_k |xi_k| y_k), xi = mu*nu/delta.
-    Truncated at decay exponent weight_bound.
+    A term depends on xi alone, and the pairs with mu*nu = m = xi*delta are
+    [U_F:U_F^+] per ideal divisor (nu) of (m) (class number 1; AM-GM keeps
+    |N(nu)| <= |N(m)| under the norm cap nu_cap).  Hence, as ln eta(z) =
+    pi*i*z/12 - sum_n sigma_{-1}(n) q^n (Kronecker's limit formula; Siegel,
+    Advanced Analytic Number Theory, ch. II; Zagier, Math. Ann. 213, 1975),
 
-    In degree 2 a term has weight alpha|mu_1| + beta|mu_2|, with
-    alpha = 2 pi y_1 |nu_1/delta_1| and beta = 2 pi y_2 |nu_2/delta_2|.
-    Each nu is balanced: nu*eta^k, eta the totally positive unit and
-    k = -round(ln(alpha/beta)/(2 ln eta_1)), gives the same terms, because
-    the inner sum runs over all mu and mu -> mu*eta^k is a bijection of
-    O_F \\ 0; N(eta) = 1 keeps alpha*beta, the norm cap and the tail.  The
-    kept mu = a + b*w form the half-diamond alpha|mu_1| + beta|mu_2| <= B,
-    xi_j > 0.  Its rows b lie between its three vertices, since
-    mu_1 - mu_2 = b(w_1 - w_2), and on each row the four constraints
-    +-alpha mu_1 +- beta mu_2 <= B and the sign of mu_j bound a to one
-    interval (unit_domain._half_diamond_rows).  The float tests w <= B and
-    xi_j > 0 still decide each term.
+        Omega_j(z) = sum_{xi in delta^-1, xi_j > 0, w <= B}
+                         sigma_{-1}((xi*delta)) e(xi, z),
+
+    and n_terms, the pairs, is [U_F:U_F^+] sum tau((xi*delta)).  Both sums
+    depend only on N = |N(m)| and the content g of m: m/g is divisible by
+    no inert prime and by at most one prime above each split p, so N and g
+    fix (m) up to conjugating split primes (table: _ideal_sums).
+
+    The m form the half-diamond 2*pi*(y_1|m_1/delta_1| + y_2|m_2/delta_2|)
+    <= B, sign(delta_j) m_j > 0 (unit_domain._half_diamond_rows); over Q,
+    m = 1..floor(nu_cap).  Float tests w <= B and xi_j > 0 decide each term.
+    Raises CapExceeded for more candidates or pairs than max_terms.
     """
     z = check_uhp(field, z)
-    n, B = field.n, trunc.weight_bound
-    x = [w.real for w in z]
-    y = [w.imag for w in z]
+    B, idx = trunc.weight_bound, field.unit_index
+    x, y = [w.real for w in z], [w.imag for w in z]
     d_embs = field.different.embeddings()
-    idx = field.unit_index
-
-    if n == 1:
+    if field.n == 1:
         nu_cap = B / (TWO_PI * y[0])
-        nus = enumerate_tp_orbits(field, nu_cap, trunc.max_terms)
-        total = 0.0 + 0.0j
-        tail = 0.0
-        n_terms = 0
-        for nu in nus:
-            t0 = nu.emb(0) / d_embs[0]
-            alpha = TWO_PI * y[0] * abs(t0)
-            e1, _, w = weighted_lattice(field, alpha, 1.0, B, trunc.max_terms)
-            xi1 = e1 * t0
-            mask = xi1 > 0
-            if not mask.any():
-                continue
-            terms = np.exp(1j * TWO_PI * xi1[mask] * x[0] - w[mask])
-            total += complex(np.sum(np.sort_complex(terms))) \
-                / (idx * abs(nu.norm()))
-            n_terms += int(mask.sum())
-            tail += 2.0 * math.exp(-B) / (1 - math.exp(-alpha)) \
-                / (idx * abs(nu.norm()))
-        tail += math.exp(-B) * max(1, len(nus))
-        return SeriesValue(total, tail, n_terms)
-
-    # degree 2: balance each nu by units, then expand its half-diamond
-    nu_cap = (B / (4 * math.pi)) ** 2 * field.d_F / (y[0] * y[1])
-    ne1, ne2, nrm = tp_orbit_arrays(field, nu_cap, trunc.max_terms)
-    if ne1.size == 0:
-        return SeriesValue(0.0 + 0.0j, math.exp(-B), 0)
-    t1 = ne1 / d_embs[0]
-    t2 = ne2 / d_embs[1]
-    alpha = TWO_PI * y[0] * np.abs(t1)
-    beta = TWO_PI * y[1] * np.abs(t2)
-    # Dropped inner terms: lattice points of weight > B; the count in a unit
-    # weight shell is about 2(B+s)/(alpha*beta) per orbit.  Orbits beyond the
-    # norm cap have every term below e^-B already.
-    dens = 2.0 * (B + 2.0) / (alpha * beta) + 4.0
-    tail = float(np.sum(dens / (idx * nrm))) * math.exp(-B) \
-        / (1 - math.exp(-1.0)) + math.exp(-B) * max(1, int(ne1.size))
-    L = field.log_eta1
-    g = np.exp(-np.round(np.log(alpha / beta) / (2 * L)) * L)   # eta_1^k
-    t1, t2 = t1 * g, t2 / g
-    rows = _half_diamond_rows(field.w_embs, alpha * g, beta / g,
-                              np.sign(t1 if j == 0 else t2), j, B)
-    w1, w2 = field.w_embs
-    log_nrm = np.log(idx * nrm)
-    total = 0.0 + 0.0j
-    n_terms = 0
-    for iv, a, b in _expand_rows(*rows):
-        xi1 = (a + b * w1) * t1[iv]
-        xi2 = (a + b * w2) * t2[iv]
-        w = TWO_PI * (y[0] * np.abs(xi1) + y[1] * np.abs(xi2))
-        keep = np.nonzero((w <= B) & ((xi1 if j == 0 else xi2) > 0))[0]
-        n_terms += keep.size
+        a = np.arange(1, math.floor(nu_cap) + 1, dtype=np.int64)
+        chunks, n_cand = [(None, a, np.zeros_like(a))], a.size
+    else:
+        nu_cap = (B / (4 * math.pi)) ** 2 * field.d_F / (y[0] * y[1])
+        scale = [[TWO_PI * yk / abs(dk)] for yk, dk in zip(y, d_embs)]
+        rows = _half_diamond_rows(field.w_embs, *np.array(scale),
+                                  np.sign([d_embs[j]]), j, B)
+        n_cand = int(np.maximum(rows[3] - rows[2] + 1, 0).sum())
+        chunks = _expand_rows(*rows)
+    if n_cand > trunc.max_terms:
+        raise CapExceeded(f"series exceeds term cap: {n_cand} candidates")
+    X = math.floor(nu_cap)
+    total, n_terms = 0j, 0
+    for _, a, b in chunks:
+        xi = [(a + b * wk) / dk for wk, dk in zip(field.w_embs, d_embs)]
+        w = TWO_PI * sum(yk * np.abs(xk) for yk, xk in zip(y, xi))
+        keep = np.nonzero((w <= B) & (xi[j] > 0))[0]
+        a, b = a[keep], b[keep]
+        g, nrm = (1, a) if field.n == 1 else \
+            (np.gcd(a, b), np.abs(_norms(field, a, b)))
+        start, sig, tau, _ = _ideal_sums(field, int(nrm.max(initial=X)))
+        key = start[g] + nrm // (g * g)
+        n_terms += idx * int(tau[key].sum())
         if n_terms > trunc.max_terms:
             raise CapExceeded("series exceeds term cap")
-        phase = TWO_PI * (xi1[keep] * x[0] + xi2[keep] * x[1])
-        total += complex(np.sum(np.exp(1j * phase - w[keep]
-                                       - log_nrm[iv[keep]])))
+        phase = TWO_PI * sum(xk[keep] * xr for xk, xr in zip(xi, x))
+        total += complex(np.sum(sig[key] * np.exp(1j * phase - w[keep])))
+    # Dropped terms per nu of norm n: over Q the mu past B; in degree 2 about
+    # 2(B+s)/(alpha*beta) in the weight shell [B+s, B+s+1), alpha*beta =
+    # 4 pi^2 y_1 y_2 n/d_F.  The nu past the norm cap add e^-B at most each.
+    n = np.arange(1, X + 1)
+    count = idx * _ideal_sums(field, X)[3][1:X + 1]       # the nu of norm n
+    dens, shell = (2.0 / (1 - np.exp(-TWO_PI * y[0] * n)), 1.0) \
+        if field.n == 1 else (2.0 * (B + 2.0) * field.d_F / (
+            TWO_PI ** 2 * y[0] * y[1] * n) + 4.0, 1 - math.exp(-1.0))
+    tail = float(np.sum(count * dens / (idx * n))) * math.exp(-B) / shell \
+        + math.exp(-B) * max(1, int(count.sum()))
     return SeriesValue(total, tail, n_terms)
 
 
@@ -238,7 +287,8 @@ def phi(field: FieldData, A: ModMatrix, z: tuple = None, j: int = 0,
 
 def classical_ln_eta(z: complex, terms: int = 400) -> complex:
     """ln eta(z) by the q-product, principal branches (Im z > 0)."""
-    assert z.imag > 0
+    if not z.imag > 0:
+        raise InvalidInput(f"need Im z > 0, got {z}")
     q = cmath.exp(2j * math.pi * z)
     s = 1j * math.pi * z / 12
     for m in range(1, terms + 1):
@@ -254,7 +304,8 @@ def classical_dedekind_s(d: int, c: int):
     integers."""
     from fractions import Fraction
 
-    assert c > 0
+    if not c > 0:
+        raise InvalidInput(f"need c > 0, got {c}")
     num = 0
     for k in range(1, c):
         m = (k * d) % c
@@ -266,7 +317,8 @@ def classical_dedekind_s(d: int, c: int):
 def classical_phi_R(A: ModMatrix):
     """Rademacher function on SL_2(Z), exact rational value."""
     from fractions import Fraction
-    assert A.field.n == 1
+    if A.field.n != 1:
+        raise InvalidInput("the Rademacher function is defined over Q")
     a, b, c, d = A.a.a, A.b.a, A.c.a, A.d.a
     if c == 0:
         return Fraction(b, d)

@@ -20,7 +20,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 
-class NotCoprime(ValueError):
+class InvalidInput(ValueError):
+    """An argument outside the range where the evaluation is valid.
+
+    Raised instead of asserting, so the checks survive ``python -O``."""
+
+
+class NotCoprime(InvalidInput):
     pass
 
 
@@ -234,6 +240,28 @@ class OFElem:
         return f"({self.a}+{self.b}{w})"
 
 
+def kronecker(a: int, n: int) -> int:
+    """The Kronecker symbol (a/n) for n >= 1.  With a = d_F it is the
+    character chi of F: a prime p splits, is inert or ramifies in F as
+    chi(p) = 1, -1 or 0, and chi has period d_F."""
+    if n < 1:
+        raise InvalidInput(f"need n >= 1, got {n}")
+    v = (n & -n).bit_length() - 1           # n = 2^v * (odd n)
+    if v and a % 2 == 0:
+        return 0
+    n >>= v
+    out = -1 if v % 2 and a % 8 in (3, 5) else 1
+    a %= n
+    while a:                                # Jacobi symbol (a/n), n odd
+        while a % 2 == 0:
+            a //= 2
+            out *= -1 if n % 8 in (3, 5) else 1
+        a, n = n, a
+        out *= -1 if a % 4 == 3 and n % 4 == 3 else 1
+        a %= n
+    return out if n == 1 else 0
+
+
 def _zeta_minus_one(d_F: int) -> Fraction:
     """zeta_F(-1) of the real quadratic field of discriminant d_F, exactly,
     by Siegel's formula (Zagier, On the values at negative integers of the
@@ -302,7 +330,8 @@ class ModMatrix:
 
     def __post_init__(self):
         det = self.a * self.d - self.b * self.c
-        assert det == self.field.one, f"determinant {det} != 1"
+        if det != self.field.one:
+            raise InvalidInput(f"determinant {det} != 1")
 
     @property
     def field(self) -> FieldData:
@@ -363,7 +392,8 @@ def divmod_near(d: OFElem, c: OFElem) -> tuple:
     field quotient; ties on |N(r)| are broken by smaller remainder coordinates,
     then lexicographic (a, b) on the quotient, so the result is deterministic.
     """
-    assert c, "division by zero"
+    if not c:
+        raise InvalidInput("division by zero")
     F = d.field
     qa, qb = exact_quotient(d, c)
     base_a = math.floor(qa)

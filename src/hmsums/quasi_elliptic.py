@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field_arith import FieldData, ModMatrix, OFElem, identity
+from .field_arith import FieldData, InvalidInput, ModMatrix, OFElem, identity
 from .eta_engine import _insert, phi
 from .unit_domain import TruncationParams
 
@@ -138,7 +138,8 @@ def quasi_data(A: ModMatrix) -> QuasiEllipticData:
     data = QuasiEllipticData(A, j, r1, r2, wc, eps_r1, sct)
     # eigenvalues are relative-norm-1 units: |eps_k| = 1 at elliptic places
     for k, w in zip(data._off(), wc):
-        assert abs(abs(A.c.emb(k) * w + A.d.emb(k)) - 1.0) < 1e-10
+        if abs(abs(A.c.emb(k) * w + A.d.emb(k)) - 1.0) >= 1e-10:
+            raise InvalidInput(f"eigenvalue at place {k} is not of modulus 1")
     return data
 
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field_arith import FieldData, OFElem
+from .field_arith import FieldData, InvalidInput, OFElem
 
 # Nudge for the floating-point window tests, so that elements landing exactly
 # on the window boundary (units themselves) are classified consistently.
@@ -41,12 +41,6 @@ class CapExceeded(RuntimeError):
     """An enumeration or series would exceed its term cap.
 
     Raised instead of asserting, so the caps survive ``python -O``."""
-
-
-class InvalidInput(ValueError):
-    """An argument outside the range where the evaluation is valid.
-
-    Raised instead of asserting, so the checks survive ``python -O``."""
 
 
 @dataclass(frozen=True)
@@ -84,7 +78,8 @@ def tp_orbit_rep(x: OFElem) -> tuple:
     Returns (rep, k) with rep = x * eta^k and log-ratio in [-L, L), where eta
     generates U_F^+ and L = ln eta_1.
     """
-    assert x
+    if not x:
+        raise InvalidInput("zero has no unit orbit")
     F = x.field
     if F.n == 1:
         return x, 0
@@ -96,7 +91,8 @@ def tp_orbit_rep(x: OFElem) -> tuple:
 
 def unit_orbit_rep(x: OFElem) -> OFElem:
     """Canonical representative of x * U_F (full unit group, sign folded)."""
-    assert x
+    if not x:
+        raise InvalidInput("zero has no unit orbit")
     F = x.field
     if F.n == 1:
         return x if x.a > 0 else -x
@@ -170,47 +166,6 @@ def enumerate_tp_orbits(field: FieldData, norm_bound: float,
                              max_terms)
     mask = _in_window(e1, e2, nrm, X, L)
     return [field.elem(int(a), int(b)) for a, b in zip(A[mask], B[mask])]
-
-
-# D -> (X, e1, e2, |N|): the representatives of enumerate_tp_orbits with
-# |N| <= X, sorted by |N|; tp_orbit_arrays grows X by doubling.
-_NU_TABLES: dict = {}
-
-
-def tp_orbit_arrays(field: FieldData, norm_bound: float,
-                    max_terms: int = 5_000_000) -> tuple:
-    """The orbits of enumerate_tp_orbits as read-only arrays (e1, e2, |N|)
-    sorted by |N|: a slice of a per-field table, grown to
-    max(norm_bound, twice its old bound) when a call asks for more.  Raises
-    CapExceeded exactly when enumerate_tp_orbits' box at this bound holds
-    more than max_terms points, however large the table has grown."""
-    assert field.n == 2
-    X = math.floor(norm_bound)
-    if X < 1:
-        z = np.zeros(0)
-        return z, z, z
-    L, (w1, w2) = field.log_eta1, field.w_embs
-    M = _window_radius(X, L)
-    # _box's (2 Bb + 1) rows of at most 2M + 1 points bound its size
-    if (4 * M / (w1 - w2) + 3) * (2 * M + 1) > max_terms:
-        _box(field, M, M, max_terms)
-    table = _NU_TABLES.get(field.D)
-    if table is None or table[0] < X:
-        Xt = X if table is None else max(X, 2 * table[0])
-        M = _window_radius(Xt, L)
-        parts = []
-        for _, A, B in _lattice_boxes(field.w_embs, -M, M, -M, M, math.inf):
-            e1, e2, nrm = A + B * w1, A + B * w2, _norms(field, A, B)
-            mask = _in_window(e1, e2, nrm, Xt, L)
-            parts.append((e1[mask], e2[mask], np.abs(nrm[mask]).astype(float)))
-        cols = _columns(parts, (np.zeros(0),) * 3)
-        order = np.argsort(cols[2], kind="stable")
-        table = (Xt,) + tuple(c[order] for c in cols)
-        for c in table[1:]:
-            c.flags.writeable = False
-        _NU_TABLES[field.D] = table
-    n = int(np.searchsorted(table[3], X, side="right"))
-    return table[1][:n], table[2][:n], table[3][:n]
 
 
 def enumerate_unit_orbits(field: FieldData, norm_bound: float,
@@ -302,10 +257,10 @@ def _half_diamond_rows(w: tuple, alpha, beta, sign, j: int, bound: float):
     half-diamond alpha[i]|mu_1| + beta[i]|mu_2| <= bound, sign[i]*mu_j > 0
     of the points mu = a + b*w (w as in _lattice_boxes).
 
-    The rows and their intervals are those of eta_engine.omega's docstring,
-    with the four constraints written as |s a + u| <= bound and
-    |d a + v| <= bound (s, d = alpha +- beta, u, v = b(alpha w1 +- beta w2)).
-    Each end is widened by 1e-9 of the size of the terms it is computed
+    The rows b lie between its three vertices, since mu_1 - mu_2 =
+    b(w1 - w2); on each, |s a + u| <= bound, |d a + v| <= bound (s, d =
+    alpha +- beta, u, v = b(alpha w1 +- beta w2)) and the sign of mu_j bound
+    a to one interval.  Each end is widened by 1e-9 of the size of the terms it is computed
     from, far above their rounding error.  The second pair is dropped when
     |d| < 1e-4 s: it is ill-conditioned there and nearly implied by the row
     range.  The rows hold every point of the half-diamond and few others,
@@ -557,7 +512,8 @@ def _eps_action(data, m: OFElem, n: OFElem, k: int) -> tuple:
 def module_orbit_rep(data, m: OFElem, n: OFElem) -> tuple:
     """Canonical representative of the U-orbit of beta = m + n*omega, in the
     same half-open log windows used by enumerate_module_orbits; idempotent."""
-    assert m or n
+    if not (m or n):
+        raise InvalidInput("zero has no unit orbit")
     F = data.field
     Wu = abs(math.log(abs(data.eps_r1)))
     b1, b2, _ = data.beta_embs(m, n)
@@ -591,7 +547,8 @@ def weighted_lattice(field: FieldData, alpha: float, beta: float,
     alpha|mu_1| + beta|mu_2|.  Used as the inner loop of the exponential
     series, so it returns raw arrays instead of element objects.
     """
-    assert alpha > 0 and beta > 0
+    if not (alpha > 0 and beta > 0):
+        raise InvalidInput(f"need alpha, beta > 0, got {alpha}, {beta}")
     if field.n == 1:
         m = math.floor(bound / alpha)
         if m < 1:

@@ -4,14 +4,21 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hmsums.field_arith import make_field, matrix_S, residues_mod
+from hmsums import eta_engine
+from hmsums.dedekind_sums import hecke_transform
+from hmsums.field_arith import (InvalidInput, divides, make_field, matrix_S,
+                                residues_mod)
 from hmsums.eta_engine import (apex_point, area_cocycle, classical_dedekind_s,
                                classical_ln_eta, classical_phi_R,
                                delta_cocycle, h_func, lam, omega, phi)
-from hmsums.unit_domain import CapExceeded, TruncationParams
+from hmsums.unit_domain import (CapExceeded, TruncationParams,
+                                enumerate_tp_orbits, enumerate_unit_orbits,
+                                tp_orbit_rep, unit_orbit_rep,
+                                weighted_lattice)
 
 F1 = make_field(1)
 F7 = make_field(7)
@@ -137,17 +144,122 @@ def test_omega_pinned(z, n_terms, tail, value0, value1):
         assert sv.tail_estimate == pytest.approx(tail, rel=1e-15)
 
 
+def _omega_pairs(F, z, j, B):
+    """Omega_j(z) as its defining double sum: for each nu in
+    (O_F \\ 0)/U_F^+ with |N(nu)| <= nu_cap, every mu with
+    alpha|mu_1| + beta|mu_2| <= B and xi_j > 0, weighted by
+    1/([U_F:U_F^+] |N(nu)|); with the density tail summed per nu."""
+    idx = F.unit_index
+    d = F.different.embeddings()
+    nu_cap = (B / (4 * math.pi)) ** 2 * F.d_F / (z[0].imag * z[1].imag)
+    nus = enumerate_tp_orbits(F, nu_cap)
+    total, n_terms, tail = 0j, 0, []
+    for nu in nus:
+        t = [nu.emb(k) / d[k] for k in (0, 1)]
+        alpha, beta = (2 * math.pi * z[k].imag * abs(t[k]) for k in (0, 1))
+        e1, e2, w = weighted_lattice(F, alpha, beta, B)
+        xi1, xi2 = e1 * t[0], e2 * t[1]
+        keep = (xi1 if j == 0 else xi2) > 0
+        phase = 2 * math.pi * (xi1[keep] * z[0].real + xi2[keep] * z[1].real)
+        total += np.sum(np.exp(1j * phase - w[keep])) / (idx * abs(nu.norm()))
+        n_terms += int(keep.sum())
+        tail.append((2.0 * (B + 2.0) / (alpha * beta) + 4.0)
+                    / (idx * abs(nu.norm())))
+    tail = math.fsum(tail) * math.exp(-B) / (1 - math.exp(-1.0)) \
+        + math.exp(-B) * max(1, len(nus))
+    return total, tail, n_terms
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 13]), st.sampled_from([0, 1]),
+       st.sampled_from([12.0, 20.0]),
+       st.tuples(st.floats(-1, 1), st.floats(-2, 1)),
+       st.tuples(st.floats(-1, 1), st.floats(-2, 1)))
+def test_omega_matches_pairwise_sum(D, j, B, p1, p2):
+    # one exponential per xi weighted by sigma_{-1}((xi delta)) is the
+    # double sum over the pairs (nu, mu): the same pairs, values and tails
+    F = make_field(D)
+    z = tuple(complex(x, math.exp(t)) for x, t in (p1, p2))
+    value, tail, n_terms = _omega_pairs(F, z, j, B)
+    sv = omega(F, z, j, TruncationParams(weight_bound=B))
+    assert sv.n_terms == n_terms
+    assert sv.value == pytest.approx(value, rel=1e-12, abs=1e-300)
+    assert sv.tail_estimate == pytest.approx(tail, rel=1e-15)
+
+
+def _ideal_key(F, m):
+    """The table entry of m: content g (1 over Q) and |N(m)|/g^2."""
+    g = 1 if F.n == 1 else math.gcd(m.a, m.b)
+    return g, abs(m.norm()) // (g * g)
+
+
+@pytest.mark.parametrize("D", [1, 2, 3, 5, 7, 13])
+def test_ideal_divisor_sums_match_brute_force(D):
+    # sigma_{-1}((m)) and tau((m)) for every |N(m)| <= 300, against the
+    # divisors nu | m among the unit-orbit representatives (one per ideal)
+    F = make_field(D)
+    start, sig, tau, _ = eta_engine._ideal_sums(F, 300)
+    reps = enumerate_unit_orbits(F, 300.0)
+    for m in reps:
+        nm = abs(m.norm())
+        divs = [abs(nu.norm()) for nu in reps
+                if nm % abs(nu.norm()) == 0 and divides(nu, m)]
+        g, q = _ideal_key(F, m)
+        assert tau[start[g] + q] == len(divs)
+        assert sig[start[g] + q] == pytest.approx(
+            math.fsum(1 / n for n in divs), rel=1e-15)
+
+
+@pytest.mark.parametrize("D", [1, 2, 3, 5, 7, 13])
+def test_ideal_counts_match_unit_orbits(D):
+    # r(n) = sum_{d | n} chi(d) counts the principal ideals of norm n,
+    # that is the unit-orbit representatives of norm +-n
+    F = make_field(D)
+    r = eta_engine._ideal_sums(F, 500)[3]
+    counts = np.bincount([abs(m.norm()) for m in enumerate_unit_orbits(
+        F, 500.0)], minlength=501)
+    assert (r[1:501] == counts[1:]).all()
+
+
+def test_ideal_table_grows_by_doubling(monkeypatch):
+    # the table grows 40 -> 80 (twice its bound) -> 500; each state holds
+    # the entries of a fresh build, and Omega does not depend on the state
+    monkeypatch.setattr(eta_engine, "_IDEAL_SUMS", {})
+    F = F7
+    z = (0.1 + 2.0j, 0.2 + 2.3j)        # norm cap 34
+    first = omega(F, z, 1, FAST)
+    assert eta_engine._IDEAL_SUMS[7][0] == 34
+    monkeypatch.setattr(eta_engine, "_IDEAL_SUMS", {})
+    reps = enumerate_unit_orbits(F, 500.0)
+    for X, size in ((40, 40), (50, 80), (45, 80), (500, 500)):
+        start, sig, tau, r = eta_engine._ideal_sums(F, X)
+        assert eta_engine._IDEAL_SUMS[7][0] == size
+        assert r.size == size + 1
+        monkeypatch.setattr(eta_engine, "_IDEAL_SUMS", {})
+        f_start, f_sig, f_tau, f_r = eta_engine._ideal_sums(F, size)
+        assert (r == f_r).all()
+        for m in reps:
+            if abs(m.norm()) <= size:
+                g, q = _ideal_key(F, m)
+                assert sig[start[g] + q] == f_sig[f_start[g] + q]
+                assert tau[start[g] + q] == f_tau[f_start[g] + q]
+        assert omega(F, z, 1, FAST) == first
+
+
 def test_input_checks_survive_optimize():
-    # a point off the upper half-plane and a zero c raise InvalidInput,
-    # not AssertionError, so python -O keeps the checks
-    code = ("from hmsums.field_arith import make_field\n"
+    # a point off the upper half-plane, a zero c, a determinant other than 1
+    # and a zero divisor raise InvalidInput, not AssertionError, so
+    # python -O keeps the checks
+    code = ("from hmsums.field_arith import divmod_near, make_field\n"
             "from hmsums.dedekind_sums import sum_s\n"
             "from hmsums.eta_engine import apex_point, omega\n"
             "from hmsums.unit_domain import InvalidInput\n"
             "F = make_field(7)\n"
             "calls = [lambda: omega(F, (0.1 + 0.5j, 0.2 - 0.1j), 0),\n"
             "         lambda: apex_point(F, F.matrix(1, 1, 0, 1)),\n"
-            "         lambda: sum_s(F, F.one, F.zero, (0.3 + 1j,))]\n"
+            "         lambda: sum_s(F, F.one, F.zero, (0.3 + 1j,)),\n"
+            "         lambda: F.matrix(2, 0, 0, 1),\n"
+            "         lambda: divmod_near(F.one, F.zero)]\n"
             "for call in calls:\n"
             "    try:\n"
             "        call()\n"
@@ -159,7 +271,22 @@ def test_input_checks_survive_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["raised"] * 3
+    assert out.stdout.split() == ["raised"] * 5
+
+
+@pytest.mark.parametrize("call", [
+    lambda: classical_ln_eta(0.3 - 0.1j),
+    lambda: classical_dedekind_s(1, 0),
+    lambda: classical_phi_R(A_MAIN),
+    lambda: hecke_transform(F7, F7.one, F7.elem(3, 1), (0.2 + 1j,),
+                            F7.elem(1, 1)),
+    lambda: tp_orbit_rep(F7.zero),
+    lambda: unit_orbit_rep(F7.zero),
+    lambda: weighted_lattice(F7, 0.0, 1.0, 10.0),
+])
+def test_bad_input_raises_invalid_input(call):
+    with pytest.raises(InvalidInput):
+        call()
 
 
 def test_lam_translation_invariance():

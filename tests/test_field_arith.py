@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hmsums.field_arith import (NotCoprime, divmod_near, ext_gcd, identity,
-                                make_field, matrix_S, of_gcd)
+from hmsums.field_arith import (InvalidInput, NotCoprime, divmod_near,
+                                ext_gcd, identity, kronecker, make_field,
+                                matrix_S, of_gcd)
 
 SUPPORTED = [2, 3, 5, 7, 13]
 
@@ -222,5 +223,23 @@ def test_matrix_basics():
 
 def test_matrix_det_check():
     F = fld(7)
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidInput):
         F.matrix(1, 0, 0, 2)
+
+
+# -- the character of F -------------------------------------------------------
+
+@pytest.mark.parametrize("D", SUPPORTED)
+def test_kronecker_counts_roots(D):
+    # chi(p) + 1 is the number of roots mod p of the minimal polynomial of
+    # w, and chi has period d_F (the divisor sums of omega rely on both)
+    F = fld(D)
+    q = (D - 1) // 4 if F.basis_half else D
+    for p in [p for p in range(2, 200) if all(p % k for k in range(2, p))]:
+        roots = sum((x * x - (x if F.basis_half else 0) - q) % p == 0
+                    for x in range(p))
+        assert kronecker(F.d_F, p) == roots - 1
+    for n in range(1, 200):
+        assert kronecker(F.d_F, n + F.d_F) == kronecker(F.d_F, n)
+    with pytest.raises(InvalidInput):
+        kronecker(F.d_F, 0)

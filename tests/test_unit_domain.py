@@ -200,32 +200,6 @@ def test_half_diamond_rows_match_brute_force(D, j, diamonds, bound):
     assert len(cand) <= len(brute) + 2 * n_rows
 
 
-def test_nu_table_slice_matches_fresh_enumeration(monkeypatch):
-    # the table grows 40 -> 300 -> 600; its slices are still the orbits of
-    # a fresh enumeration, sorted by |N|, and the caps are those of that
-    # enumeration's box
-    monkeypatch.setattr(unit_domain, "_NU_TABLES", {})
-    F = make_field(7)
-    for X in (40.0, 300.0, 310.0):
-        unit_domain.tp_orbit_arrays(F, X)
-    assert unit_domain._NU_TABLES[7][0] == 600
-    for X in (1.0, 40.0, 75.5, 310.0):
-        e1, e2, nrm = unit_domain.tp_orbit_arrays(F, X)
-        assert not e1.flags.writeable
-        assert (np.diff(nrm) >= 0).all()
-        fresh = enumerate_tp_orbits(F, X)
-        assert sorted(zip(e1.tolist(), e2.tolist(), nrm.tolist())) == sorted(
-            (r.emb(0), r.emb(1), float(abs(r.norm()))) for r in fresh)
-    with pytest.raises(CapExceeded) as fresh_err:
-        enumerate_tp_orbits(F, 40.0, max_terms=300)
-    with pytest.raises(CapExceeded) as table_err:
-        unit_domain.tp_orbit_arrays(F, 40.0, max_terms=300)
-    assert str(table_err.value) == str(fresh_err.value)
-    n_box = int(str(fresh_err.value).split()[4])
-    assert unit_domain.tp_orbit_arrays(F, 40.0, max_terms=n_box)[0].size \
-        == len(enumerate_tp_orbits(F, 40.0))
-
-
 def test_truncation_params_validate():
     with pytest.raises(InvalidInput):
         TruncationParams(weight_bound=-1.0)
