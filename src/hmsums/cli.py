@@ -300,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--norm-bound", type=float, default=2000.0)
     p.add_argument("--quad-order", type=int, default=16,
                    help="initial node count of the periodic trapezoid")
-    p.add_argument("--mu-cap", type=float, default=8000.0)
+    p.add_argument("--mu-cap", type=float, default=8000.0,
+                   help="largest |N(xi delta)| E_F may sum, else an error")
     p.set_defaults(fn=_cmd_theorem5)
 
     p = sub.add_parser("classical", help="exact rational degree-1 checks")

@@ -62,8 +62,9 @@ _IDEAL_SUMS: dict = {}
 
 
 def _geom(p, e):
-    """1 + p + ... + p^e (e may be an integer array)."""
-    return (p ** (e + 1) - 1) // (p - 1)
+    """1 + p + ... + p^e (e may be an integer array), exact for an int p."""
+    t = p ** (e + 1) - 1
+    return t // (p - 1) if isinstance(p, int) else t / (p - 1)
 
 
 def _prime_powers(g: int):

@@ -22,9 +22,20 @@ with Vol = d_F * (omega_r1 - omega_r2) * prod Im(omega_c).
 
 The derivative d/dz_j is the standard Wirtinger operator (1/2)(d/dx - i d/dy);
 with this factor both the finite-difference check and the period identity
-hold.  The inner nu-lattice sums are evaluated by Poisson summation over the
-codifferent, turning the polynomially decaying series into Bessel-type terms
-with exponential decay.
+hold.  E_F is a divisor sum: Poisson summation over nu gives Bessel terms at
+the frequencies xi' in the codifferent delta^-1, and grouping the pairs
+(mu, xi') by xi = mu xi' leaves one term per xi, weighted by the ideal
+divisors (mu) of (xi delta), plus two closed-form constant terms (Siegel,
+Advanced Analytic Number Theory, ch. II; Zagier, A Kronecker limit formula
+for real quadratic fields, Math. Ann. 213, 1975):
+
+    E_F(z, s) = N(y)^s zeta_F(2s)
+        + d_F^-1/2 (sqrt(pi) Gamma(s-1/2)/Gamma(s))^n N(y)^(1-s) zeta_F(2s-1)
+        + 2 d_F^-1/2 (2 pi^s/Gamma(s))^n sqrt(N(y)) Re sum_{xi_1 > 0}
+              sigma_{1-2s}((xi delta)) prod_k |xi_k|^(s-1/2)
+              K_{s-1/2}(2 pi |xi_k| y_k) e(xi x),
+
+with n = [F:Q], N(y) = prod y_k and sigma_w(a) = sum_{b | a} N(b)^w.
 """
 
 from __future__ import annotations
@@ -32,16 +43,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma as _gamma, kv as _kv
+from scipy.special import gamma as _gamma, kv as _kv, zeta as _zeta
 
-from .field_arith import FieldData, ModMatrix
-from .eta_engine import _insert, check_uhp
+from .field_arith import FieldData, ModMatrix, kronecker
+from .eta_engine import _geom, _insert, _prime_powers, check_uhp
 from .quasi_elliptic import QuasiEllipticData, quasi_data, psi, NotQuasiElliptic
 from .unit_domain import (CapExceeded, InvalidInput, TruncationParams,
-                          enumerate_unit_orbits, module_orbit_arrays,
-                          weighted_lattice)
+                          _expand_rows, _half_diamond_rows, _norms,
+                          enumerate_unit_orbits, module_orbit_arrays)
 
 TWO_PI = 2.0 * math.pi
 
@@ -90,134 +102,144 @@ def l_a(A: ModMatrix, s: complex, norm_bound: float = 2000.0,
     return LASeriesValue(s, data.sign_c_tr * total, tail, X, n_terms=n_reps)
 
 
-# -- Eisenstein series by Poisson summation -----------------------------------
+# -- Eisenstein series as a divisor sum ---------------------------------------
 
-def _ghat0(s: float, h):
-    """Fourier transform of (t^2 + h^2)^(-s) at frequency 0."""
-    return math.sqrt(math.pi) * _gamma(s - 0.5) / _gamma(s) * h ** (1 - 2 * s)
-
-
-def _ghat(s: float, h: float, xi):
-    """Fourier transform of (t^2 + h^2)^(-s) at frequency xi != 0:
-    2 pi^s / Gamma(s) * h^(1/2-s) |xi|^(s-1/2) K_{s-1/2}(2 pi h |xi|)."""
-    a = np.abs(xi)
-    return (2 * math.pi ** s / _gamma(s) * h ** (0.5 - s)
-            * a ** (s - 0.5) * _kv(s - 0.5, TWO_PI * h * a))
+# (D, w) -> (X, start, sig): _sigma_table.
+_SIGMA: dict = {}
 
 
-def _dghat_dh(s: float, h: float, xi):
-    """d/dh of _ghat; the Bessel order shifts up by one."""
-    a = np.abs(xi)
-    return -(TWO_PI * a) * (2 * math.pi ** s / _gamma(s) * h ** (0.5 - s)
-                            * a ** (s - 0.5) * _kv(s + 0.5, TWO_PI * h * a))
+@lru_cache(maxsize=None)
+def field_zeta(field: FieldData, w: float) -> float:
+    """zeta_F(w) for real w > 1: zeta(w) L(w, chi) with chi = chi_{d_F} and
+    L(w, chi) = d_F^-w sum_{a < d_F} chi(a) zeta(w, a/d_F) (Hurwitz zeta);
+    zeta(w) over Q."""
+    if field.n == 1:
+        return float(_zeta(w))
+    d = field.d_F
+    return float(_zeta(w)) * d ** -w * math.fsum(
+        kronecker(d, a) * _zeta(w, a / d) for a in range(1, d))
 
 
-_REP_CACHE: dict = {}
-
-
-def _unit_rep_arrays(field: FieldData, cap: float) -> tuple:
-    """Embedding arrays of (O_F \\ 0)/U_F representatives, cached."""
-    key = (field.D, float(cap))
-    if key not in _REP_CACHE:
-        reps = enumerate_unit_orbits(field, cap)
-        embs = np.array([r.embeddings() for r in reps], dtype=float)
-        _REP_CACHE[key] = tuple(embs[:, k] for k in range(field.n))
-    return _REP_CACHE[key]
+def _sigma_table(field: FieldData, w: float, X: int, cap: float) -> tuple:
+    """(start, sig) with sig[start[g] + N // g^2] = sigma_w((m)), the sum of
+    N(b)^w over the ideals b | (m), for every m in O_F of content g (1 over
+    Q) and N = |N(m)| <= X, laid out as eta_engine._ideal_sums (N and g fix
+    (m) up to conjugation).  A larger X rebuilds it at min(max(X, twice the
+    old), cap).  A float sieve over the divisor pairs N = k e gives
+    sigma_w(N) = sum_{k | N} k^w; for p | g with chi(p) != 0, k = v_p(g),
+    n = v_p(N), its factor _geom(p^w, n) becomes _geom(p^w, k)
+    _geom(p^w, n-k) for split p and _geom(p^2w, k) for inert p.
+    """
+    key = (field.D, float(w))
+    table = _SIGMA.get(key)
+    if table is not None and table[0] >= X:
+        return table[1:]
+    X = max(X, 1) if table is None else int(min(max(X, 2 * table[0]), cap))
+    G, ints = math.isqrt(X), np.arange(X + 1)
+    pw = np.concatenate(([0.0], ints[1:] ** float(w)))
+    sig_n = np.zeros(X + 1)
+    for k in range(1, G + 1):                   # N = k e for e = k..X//k
+        sig_n[k * k::k] += pw[k] + pw[k:X // k + 1]
+        sig_n[k * k] -= pw[k]                   # N = k^2 counted once
+    G = G if field.n == 2 else 1                # content 1 over Q
+    start = np.concatenate(([0, 0], np.cumsum(X // ints[1:G + 1] ** 2 + 1)))
+    sig = np.zeros(start[-1])
+    for g in range(1, G + 1):
+        q = ints[1:X // (g * g) + 1]                # N / g^2
+        val = sig_n[g * g * q]
+        for p, k in _prime_powers(g):
+            chi = kronecker(field.d_F, p)
+            if not chi:
+                continue
+            n = 2 * k + sum(q % p ** i == 0
+                            for i in range(1, int(math.log(q[-1], p)) + 2))
+            pw_p = float(p) ** w
+            val = val / _geom(pw_p, n) * (
+                _geom(pw_p, k) * _geom(pw_p, n - k) if chi > 0
+                else _geom(pw_p * pw_p, k))
+        sig[start[g] + 1:start[g + 1]] = val
+    _SIGMA[key] = (X, start, sig)
+    return start, sig
 
 
 def _eis_core(field: FieldData, z: tuple, s: float, j: int, want_deriv: bool,
               trunc: TruncationParams, mu_cap: float):
-    """E_F(z, s) and optionally its Wirtinger z_j-derivative.
+    """E_F(z, s) and optionally its Wirtinger z_j-derivative, by the divisor
+    sum of the module docstring: with nu = s - 1/2,
 
-    Pairs are grouped by the first entry: (0, nu) runs over unit-orbit
-    representatives, and for each representative mu != 0 the free nu-sum
-    is evaluated by Poisson summation over the codifferent, with frequency
-    terms cut at exponential weight trunc.weight_bound.
+        E_F = c_2s + c_2s1 + pref Re sum_{xi_1 > 0} sigma_{1-2s}((xi delta))
+                  prod_k |xi_k|^nu K_nu(2 pi |xi_k| y_k) e(xi x),
 
-    The frequencies of mu form weighted_lattice(field, alpha, beta, B) with
-    alpha = 2 pi h_1/|delta_1|, beta = 2 pi h_2/|delta_2|.  Every nonzero xi
-    in O_F has |N(xi)| >= 1, so by AM-GM alpha|xi_1| + beta|xi_2| >=
-    2 sqrt(alpha beta): in degree two a mu with 4 alpha beta > B^2 has no
-    frequency inside the bound and is skipped without enumerating it.  The
-    test only drops empty lattices, so the value does not change.
+    c_2s = N(y)^s zeta_F(2s), c_2s1 = d_F^-1/2 (sqrt(pi) Gamma(nu)/Gamma(s))^n
+    N(y)^(1-s) zeta_F(2s-1) and pref = 2 d_F^-1/2 (2 pi^s/Gamma(s))^n
+    sqrt(N(y)); -xi gives the conjugate term of xi.  The m = xi delta form
+    the half-diamond 2 pi (y_1|m_1/delta_1| + y_2|m_2/delta_2|) <= B =
+    trunc.weight_bound, sign(delta_1) m_1 > 0 (_half_diamond_rows); over Q,
+    the row m = 1..floor(B/(2 pi y)).  The float test 2 pi sum_k y_k |xi_k|
+    <= B decides each term: the terms of the per-mu Poisson sums at bound B.
+
+    d/dx_j brings down 2 pi i xi_j; d/dy_j gives s/y_j times a term minus
+    2 pi |xi_j| times it with K_{nu+1} at j (K'_nu(x) = -K_{nu+1}(x) +
+    (nu/x) K_nu(x), and 1/(2 y_j) from sqrt(N(y))), and s/y_j c_2s +
+    (1-s)/y_j c_2s1.  Raises CapExceeded for more candidates than
+    trunc.max_terms, or for an |N(xi delta)| above mu_cap.
     """
-    z = check_uhp(field, z)
-    s = float(s)
+    z, s = check_uhp(field, z), float(s)
     if not s >= 1.5:
         raise InvalidInput(f"the truncation requires s >= 1.5, got {s}")
-    n = field.n
-    x = np.array([w.real for w in z])
-    y = np.array([w.imag for w in z])
-    py = float(np.prod(y))
-    covol = math.sqrt(field.d_F)
-    d_embs = np.array(field.different.embeddings()) if n == 2 else np.array([1.0])
-    B = trunc.weight_bound
-
-    embs = _unit_rep_arrays(field, mu_cap)
-    if embs[0].size > trunc.max_terms:
-        raise CapExceeded("too many unit-orbit representatives")
-
-    # (0, nu): prod y^s / prod |nu_k|^{2s}
-    q0 = np.ones_like(embs[0])
-    for k in range(n):
-        q0 = q0 * np.abs(embs[k]) ** (2 * s)
-    e_zero_mu = py ** s * float(np.sum(1.0 / q0))
-    value = e_zero_mu
-    dvalue = 0.5 * (-1j) * (s / y[j]) * e_zero_mu if want_deriv else 0.0
-
-    # (mu, nu), mu != 0: frequency-zero part, vectorized over all mu reps
-    h = [np.abs(embs[k]) * y[k] for k in range(n)]
-    g0 = _ghat0(s, h[0])
-    for k in range(1, n):
-        g0 = g0 * _ghat0(s, h[k])
-    zero_terms = py ** s / covol * g0
-    value += float(np.sum(zero_terms))
-    if want_deriv:
-        # d/dx_j = 0 here; d/dy_j = (s + (1-2s))/y_j = (1-s)/y_j per term
-        dvalue += 0.5 * (-1j) * ((1 - s) / y[j]) * complex(np.sum(zero_terms))
-
-    # nonzero frequencies survive only while 2 pi h_1 <= B (degree one) or
-    # 2 sqrt(alpha beta) <= B (degree two; the margin keeps borderline mu)
-    alpha = TWO_PI * h[0] / abs(d_embs[0])
-    if n == 1:
-        beta = np.ones_like(alpha)
-        active = np.nonzero(alpha <= B)[0]
+    n, B = field.n, trunc.weight_bound
+    x, y = np.array([w.real for w in z]), np.array([w.imag for w in z])
+    ny, nu = math.prod(y), s - 0.5
+    d_embs = field.different.embeddings()
+    if n == 1:      # one row, b = 0 and 1 <= a <= B/(2 pi y), clamped
+        top = min(math.floor(B / (TWO_PI * y[0])), trunc.max_terms + 1)
+        rows = [np.array([v], dtype=np.int64) for v in (0, 0, 1, top)]
     else:
-        beta = TWO_PI * h[1] / abs(d_embs[1])
-        active = np.nonzero(4 * alpha * beta <= B * B * (1 + 1e-12))[0]
-    for i in active:
-        mu = np.array([embs[k][i] for k in range(n)])
-        hk = np.array([h[k][i] for k in range(n)])
-        e1, e2, _ = weighted_lattice(field, alpha[i], beta[i], B,
-                                     trunc.max_terms)
-        xis = [e / dk for e, dk in zip((e1, e2), d_embs)]
-        if xis[0].size == 0:
-            continue
-        phase = np.exp(2j * math.pi * sum(mu[k] * x[k] * xis[k]
-                                          for k in range(n)))
-        gs = [_ghat(s, hk[k], xis[k]) for k in range(n)]
-        prod_g = gs[0]
-        for k in range(1, n):
-            prod_g = prod_g * gs[k]
-        contrib = py ** s / covol * np.sum(phase * prod_g)
-        value += contrib.real  # conjugate frequencies pair up
+        scale = [[TWO_PI * yk / abs(dk)] for yk, dk in zip(y, d_embs)]
+        rows = _half_diamond_rows(field.w_embs, *np.array(scale),
+                                  np.sign([d_embs[0]]), 0, B)
+    n_cand = int(np.maximum(rows[3] - rows[2] + 1, 0).sum())
+    if n_cand > trunc.max_terms:
+        raise CapExceeded(f"series exceeds term cap: {n_cand} candidates")
+    total, d_x, d_y = 0j, 0j, 0j
+    for _, a, b in _expand_rows(*rows):
+        xi = np.array([(a + b * wk) / dk
+                       for wk, dk in zip(field.w_embs, d_embs)])
+        arg = TWO_PI * y[:, None] * np.abs(xi)       # 2 pi y_k |xi_k|
+        keep = np.nonzero((arg.sum(0) <= B) & (xi[0] > 0))[0]
+        a, b, xi, arg = a[keep], b[keep], xi[:, keep], arg[:, keep]
+        g, nrm = (1, a) if n == 1 else \
+            (np.gcd(a, b), np.abs(_norms(field, a, b)))
+        top = int(nrm.max(initial=0))
+        if top > mu_cap:
+            raise CapExceeded(f"|N(xi delta)| = {top} exceeds mu_cap {mu_cap}")
+        start, sig = _sigma_table(field, 1 - 2 * s, top, mu_cap)
+        base = sig[start[g] + nrm // (g * g)] * np.exp(1j * TWO_PI * (x @ xi))
+        factor = np.abs(xi) ** nu * _kv(nu, arg)
+        term = base * factor.prod(0)
+        total += term.sum()
         if want_deriv:
-            dx = py ** s / covol * np.sum(
-                (2j * math.pi * mu[j] * xis[j]) * phase * prod_g)
-            prod_dg = _dghat_dh(s, hk[j], xis[j])
-            for k in range(n):
-                if k != j:
-                    prod_dg = prod_dg * gs[k]
-            dy = (s / y[j]) * contrib \
-                + py ** s / covol * abs(mu[j]) * np.sum(phase * prod_dg)
-            dvalue += 0.5 * (dx - 1j * dy)
-    return value, dvalue
+            d_x += np.sum(xi[j] * term)
+            factor[j] = np.abs(xi[j]) ** (nu + 1) * _kv(nu + 1, arg[j])
+            d_y += np.sum(base * factor.prod(0))
+    c_2s = ny ** s * field_zeta(field, 2 * s)
+    c_2s1 = (math.sqrt(math.pi) * _gamma(nu) / _gamma(s)) ** n \
+        * ny ** (1 - s) * field_zeta(field, 2 * s - 1) / math.sqrt(field.d_F)
+    pref = 2 * (2 * math.pi ** s / _gamma(s)) ** n * math.sqrt(ny / field.d_F)
+    value = c_2s + c_2s1 + pref * total.real
+    if not want_deriv:
+        return value, 0.0
+    dx = pref * (TWO_PI * 1j * d_x).real
+    dy = (s * c_2s + (1 - s) * c_2s1) / y[j] \
+        + pref * (s / y[j] * total - TWO_PI * d_y).real
+    return value, 0.5 * (dx - 1j * dy)
 
 
 def eis(field: FieldData, z: tuple, s: float,
         trunc: TruncationParams = TruncationParams(),
         mu_cap: float = 20000.0) -> float:
-    """The Eisenstein series E_F(z, s) for real s >= 1.5."""
+    """The Eisenstein series E_F(z, s) for real s >= 1.5; a summed
+    frequency with |N(xi delta)| above mu_cap raises CapExceeded."""
     value, _ = _eis_core(field, z, s, 0, False, trunc, mu_cap)
     return value
 
@@ -225,7 +247,8 @@ def eis(field: FieldData, z: tuple, s: float,
 def eis_dz1(field: FieldData, z: tuple, s: float, j: int = 0,
             trunc: TruncationParams = TruncationParams(),
             mu_cap: float = 20000.0) -> complex:
-    """Wirtinger derivative (1/2)(d/dx_j - i d/dy_j) of E_F(z, s)."""
+    """Wirtinger derivative (1/2)(d/dx_j - i d/dy_j) of E_F(z, s); mu_cap as
+    for eis."""
     _, dvalue = _eis_core(field, z, s, j, True, trunc, mu_cap)
     return dvalue
 
@@ -369,8 +392,7 @@ def geodesic_period(A: ModMatrix, s: float, m: int = 64,
     t_base=None starts at 1/|eps_r1|, which centres the arc on the top of
     the semicircle and keeps its lowest point, where (d/dz_j) E_F costs
     most, as high as possible.  Periodicity makes the value independent of
-    t_base, up to the truncation of E_F at mu_cap, which breaks the
-    A-invariance by about mu_cap^-2 (1e-8 at mu_cap = 8000).
+    t_base.
 
     Returns (value, error_estimate).
     """

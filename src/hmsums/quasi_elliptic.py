@@ -59,6 +59,11 @@ def classify(A: ModMatrix) -> tuple:
     return tuple(tags)
 
 
+def _sign_c_tr(A: ModMatrix, j: int) -> int:
+    """sign(c_j tr A_j) in exact arithmetic; 0 when c = 0 or tr A = 0."""
+    return (A.c * A.trace()).sign_emb(j)
+
+
 def _fixed_points(A: ModMatrix, k: int, upper: bool):
     """Roots of c X^2 + (d - a) X - b = 0 at embedding k.
 
@@ -133,9 +138,7 @@ def quasi_data(A: ModMatrix) -> QuasiEllipticData:
     wc = tuple(_fixed_points(A, k, upper=True)
                for k in range(A.field.n) if k != j)
     eps_r1 = A.c.emb(j) * r1 + A.d.emb(j)
-    tr_j = A.trace().emb(j)
-    sct = int(math.copysign(1, A.c.emb(j) * tr_j)) if A.c else 0
-    data = QuasiEllipticData(A, j, r1, r2, wc, eps_r1, sct)
+    data = QuasiEllipticData(A, j, r1, r2, wc, eps_r1, _sign_c_tr(A, j))
     # eigenvalues are relative-norm-1 units: |eps_k| = 1 at elliptic places
     for k, w in zip(data._off(), wc):
         if abs(abs(A.c.emb(k) * w + A.d.emb(k)) - 1.0) >= 1e-10:
@@ -186,15 +189,12 @@ def psi(field: FieldData, A: ModMatrix, j: int = None,
         j = 0
     wc = tuple(_fixed_points(A, k, upper=True)
                for k in range(field.n) if k != j)
-    if A.c:
-        cj = A.c.emb(j)
-        zj = -A.d.emb(j) / cj + 1j / abs(cj)
-        tr_j = A.trace().emb(j)
-        sct = int(math.copysign(1, cj * tr_j)) if tr_j != 0 else 0
-    else:
+    if not A.c:
         raise NotClassifiable("no finite fixed point (c = 0)")
+    cj = A.c.emb(j)
+    zj = -A.d.emb(j) / cj + 1j / abs(cj)
     p = phi(field, A, z=_insert(wc, j, zj), j=j, trunc=trunc)
-    n = field.n
+    n, sct = field.n, _sign_c_tr(A, j)
     return (2 ** n) * field.R_F * p - 2 ** (n - 2) * field.R_F * sct
 
 
@@ -225,11 +225,10 @@ def psi_elliptic_closed(field: FieldData, A: ModMatrix, j: int = 0):
     m = matrix_order(A)
     wj = _fixed_points(A, j, upper=True)
     lam = A.c.emb(j) * wj + A.d.emb(j)
-    tr_j = A.trace().emb(j)
-    sct = int(math.copysign(1, A.c.emb(j) * tr_j)) if tr_j != 0 else 0
     log_term = cmath.log(-(lam * lam)) / (1j * math.pi)
     assert abs(log_term.imag) < 1e-12
-    val = -(2 ** (field.n - 2)) * field.R_F * (log_term.real + sct)
+    val = -(2 ** (field.n - 2)) * field.R_F \
+        * (log_term.real + _sign_c_tr(A, j))
     witness = Fraction(round(2 * val / field.R_F * m), m)
     assert abs(witness - 2 * val / field.R_F) < 1e-9
     return val, witness

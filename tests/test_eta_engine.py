@@ -17,8 +17,8 @@ from hmsums.eta_engine import (apex_point, area_cocycle, classical_dedekind_s,
                                delta_cocycle, h_func, lam, omega, phi)
 from hmsums.unit_domain import (CapExceeded, TruncationParams,
                                 enumerate_tp_orbits, enumerate_unit_orbits,
-                                tp_orbit_rep, unit_orbit_rep,
-                                weighted_lattice)
+                                tp_orbit_rep, unit_orbit_rep)
+from oracles import weighted_lattice
 
 F1 = make_field(1)
 F7 = make_field(7)

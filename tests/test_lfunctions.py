@@ -4,19 +4,21 @@ import os
 import subprocess
 import sys
 
-import pytest
-
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
-from hmsums import lfunctions
-from hmsums.field_arith import make_field, matrix_S
+from hmsums import lfunctions, unit_domain
+from hmsums.field_arith import divides, make_field, matrix_S
 from hmsums.lfunctions import (InvalidInput, eis, eis_direct, eis_dz1,
-                               geodesic_arc, geodesic_period, l_a,
+                               field_zeta, geodesic_arc, geodesic_period, l_a,
                                l_a_deriv_report, period_defect,
                                period_integrand, period_rhs, volume)
 from hmsums.quasi_elliptic import NotQuasiElliptic, quasi_data
-from hmsums.unit_domain import (TruncationParams, enumerate_module_orbits,
-                                weighted_lattice)
+from hmsums.unit_domain import (CapExceeded, TruncationParams,
+                                enumerate_module_orbits,
+                                enumerate_unit_orbits)
+from oracles import eis_per_mu
 
 F1 = make_field(1)
 F7 = make_field(7)
@@ -136,27 +138,77 @@ def test_eis_degree_one_matches_direct():
         == pytest.approx(dv, abs=1e-4)
 
 
-def test_eis_pruning_skips_only_empty_lattices(monkeypatch):
-    # a low point, where about half the mu are pruned: every mu whose
-    # frequency lattice holds a point must still be enumerated
-    z, cap = (0.37 + 0.02j, -0.21 + 2.14j), 8000.0
-    found = []
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([1, 2, 3, 5, 7, 13]), st.sampled_from([0, 1]),
+       st.tuples(st.floats(-1, 1), st.floats(-2, 1)),
+       st.tuples(st.floats(-1, 1), st.floats(-2, 1)))
+def test_eis_matches_per_mu_oracle(D, j, p1, p2):
+    # one Bessel term per xi weighted by sigma_{1-2s}((xi delta)) is the
+    # per-mu Poisson sum over the same frequencies; the oracle's mu-cap holds
+    # every divisor of every summed xi delta
+    F = make_field(D)
+    z = tuple(complex(x, math.exp(t)) for x, t in (p1, p2)[:F.n])
+    j = min(j, F.n - 1)
+    B, s = 20.0, 2.7
+    v, dv = eis_per_mu(F, z, s, j, B, 20000.0)
+    trunc = TruncationParams(weight_bound=B)
+    assert eis(F, z, s, trunc) == pytest.approx(v, rel=1e-13)
+    assert eis_dz1(F, z, s, j, trunc) == pytest.approx(dv, rel=1e-13)
 
-    def counted(*args):
-        out = weighted_lattice(*args)
-        found.append(out[0].size)
-        return out
 
-    monkeypatch.setattr(lfunctions, "weighted_lattice", counted)
-    eis(F7, z, 2.0, FAST, mu_cap=cap)
-    e1, e2 = lfunctions._unit_rep_arrays(F7, cap)
-    d1, d2 = np.abs(F7.different.embeddings())
-    alpha = 2 * math.pi * np.abs(e1) * z[0].imag / d1
-    beta = 2 * math.pi * np.abs(e2) * z[1].imag / d2
-    nonempty = sum(weighted_lattice(F7, a, b, FAST.weight_bound)[0].size > 0
-                   for a, b in zip(alpha, beta))
-    assert 0 < len(found) < e1.size
-    assert sum(k > 0 for k in found) == nonempty
+def test_eis_mu_cap_raises():
+    # the largest |N(xi delta)| summed at Z2 with B = 30 is the cap that
+    # just passes; one below it raises instead of truncating
+    B, d = FAST.weight_bound, np.abs(F7.different.embeddings())
+    M = [B * dk / (2 * math.pi * w.imag) for dk, w in zip(d, Z2)]
+    _, _, e1, e2, nrm = unit_domain._box(F7, *M, 10 ** 6)
+    w = 2 * math.pi * (np.abs(e1) / d[0] * Z2[0].imag
+                       + np.abs(e2) / d[1] * Z2[1].imag)
+    top = int(np.abs(nrm[w <= B]).max())
+    assert top > 100
+    eis(F7, Z2, 2.0, FAST, mu_cap=top)
+    with pytest.raises(CapExceeded):
+        eis(F7, Z2, 2.0, FAST, mu_cap=top - 1)
+    with pytest.raises(CapExceeded):
+        eis_dz1(F1, (0.3 + 0.01j,), 2.0, 0, FAST, mu_cap=400)
+
+
+@pytest.mark.parametrize("D", [1, 2, 3, 5, 7, 13])
+def test_sigma_table_matches_ideal_divisor_sums(D):
+    # sigma_w((m)) = sum of N(b)^w over the ideals b | (m), by brute force
+    # over one generator per ideal (class number 1)
+    F = make_field(D)
+    reps = enumerate_unit_orbits(F, 300)
+    by_norm = {}
+    for b in reps:
+        by_norm.setdefault(abs(b.norm()), []).append(b)
+    for w in (-2.0, -2.4, -3.0):
+        start, sig = lfunctions._sigma_table(F, w, 300, 300)
+        for m in reps:
+            N = abs(m.norm())
+            g = 1 if F.n == 1 else math.gcd(m.a, m.b)
+            ref = math.fsum(k ** w * sum(divides(b, m) for b in bs)
+                            for k, bs in by_norm.items() if N % k == 0)
+            assert sig[start[g] + N // (g * g)] == pytest.approx(ref,
+                                                                 rel=1e-14)
+
+
+@pytest.mark.parametrize("D", [1, 2, 3, 5, 7, 13])
+def test_field_zeta_closed_forms(D):
+    # zeta_F(2) against Siegel's closed form; zeta_F(3) against a 30-digit
+    # Hurwitz sum
+    import mpmath
+    from sympy.functions.combinatorial.numbers import kronecker_symbol
+
+    F = make_field(D)
+    assert field_zeta(F, 2.0) == pytest.approx(F.zeta2, rel=1e-14)
+    d = F.d_F
+    with mpmath.workdps(30):
+        L = 1 if d == 1 else sum(
+            kronecker_symbol(d, a) * mpmath.zeta(3, mpmath.mpf(a) / d)
+            for a in range(1, d)) / mpmath.mpf(d) ** 3
+        ref = float(mpmath.zeta(3) * L)
+    assert field_zeta(F, 3.0) == pytest.approx(ref, rel=1e-14)
 
 
 @pytest.mark.parametrize("z,s", [((0.2 + 0.9j,), 2.0),
@@ -242,6 +294,23 @@ def test_period_integrand_is_periodic():
         f1 = period_integrand(arc, 2.0, u + L, FAST)
         assert abs(f0) > 0.1
         assert f1 == pytest.approx(f0, abs=1e-8)
+
+
+@pytest.mark.parametrize("s", [1.5, 2.0])
+def test_period_integrand_is_periodic_to_1e11(s):
+    # E_F is A-invariant term for term once the mu-sum is complete; at
+    # B = 40 the weight cut leaves under 2e-12 down to the arc's low points
+    # (at B = 35 it is 2e-11 at u0 + 0.3 L for s = 2)
+    qd = quasi_data(A1)
+    arc = geodesic_arc(qd, 1 / abs(qd.eps_r1))
+    u0 = math.log(arc.t_base)
+    L = math.log(arc.t_end) - u0
+    trunc = TruncationParams(weight_bound=40.0)
+    for u in (u0, u0 + 0.3 * L, u0 + 0.77 * L):
+        f0 = period_integrand(arc, s, u, trunc, mu_cap=1e5)
+        f1 = period_integrand(arc, s, u + L, trunc, mu_cap=1e5)
+        assert abs(f0) > 0.1
+        assert f1 == pytest.approx(f0, abs=1e-11)
 
 
 def test_period_base_point_independence_degree_two():

@@ -1,11 +1,12 @@
 import math
+from fractions import Fraction
 
 import pytest
 
 from hmsums.field_arith import identity, make_field, matrix_S
-from hmsums.quasi_elliptic import (NotElliptic, NotQuasiElliptic, classify,
-                                   matrix_from_unit, matrix_order, psi,
-                                   psi_elliptic_closed, quasi_data)
+from hmsums.quasi_elliptic import (NotElliptic, NotQuasiElliptic, _sign_c_tr,
+                                   classify, matrix_from_unit, matrix_order,
+                                   psi, psi_elliptic_closed, quasi_data)
 from hmsums.unit_domain import TruncationParams
 
 F1 = make_field(1)
@@ -128,6 +129,33 @@ def test_psi_conjugation_invariance():
 def test_psi_power_doubling():
     base = psi(F7, A1, trunc=FAST)
     assert psi(F7, A1 * A1, trunc=FAST) == pytest.approx(2 * base, abs=1e-6)
+
+
+def test_sign_c_tr_is_exact():
+    # c = (8 - 3 sqrt 7)^k: the first embedding cancels in floating point
+    # (it reads 0.0 at k = 7); the sign of c tr(A) is decided exactly
+    u = F7.elem(8, -3)
+    for k in range(1, 13):
+        for sg in (1, -1):
+            M = F7.matrix(1, 0, u.pow(k) * F7.elem(sg), 1)      # tr = 2
+            assert _sign_c_tr(M, 0) == sg and _sign_c_tr(M, 1) == sg
+    assert _sign_c_tr(matrix_S(F7), 0) == 0                     # tr = 0
+    assert _sign_c_tr(F7.matrix(1, (1, 0), 0, 1), 0) == 0       # c = 0
+    assert quasi_data(A1).sign_c_tr == -1
+    assert quasi_data(A1P).sign_c_tr == 1
+
+
+def test_psi_values_pinned():
+    # the exact sign moves none of the invariants
+    assert psi(F7, A1, trunc=FAST) == pytest.approx(-4.290826836070007,
+                                                    rel=1e-14)
+    assert psi(F7, A1P, trunc=FAST) == pytest.approx(2.2173104995708184,
+                                                     rel=1e-14)
+    for j in (0, 1):
+        assert psi_elliptic_closed(F7, matrix_S(F7), j) == (0.0, 0)
+        val, witness = psi_elliptic_closed(F7, E3, j)
+        assert val == pytest.approx(1.845772922209049, rel=1e-14)
+        assert witness == Fraction(4, 3)
 
 
 # -- elliptic closed form ------------------------------------------------------

@@ -14,7 +14,8 @@ from hmsums.unit_domain import (CapExceeded, InvalidInput, TruncationParams,
                                 enumerate_module_orbits, enumerate_tp_orbits,
                                 enumerate_unit_orbits, log_ratio,
                                 module_orbit_arrays, module_orbit_rep,
-                                tp_orbit_rep, unit_orbit_rep, weighted_lattice)
+                                tp_orbit_rep, unit_orbit_rep)
+from oracles import weighted_lattice
 
 SUPPORTED = [2, 3, 5, 7, 13]
 
@@ -316,9 +317,10 @@ def test_module_orbit_cap():
 def test_caps_raise_under_optimize():
     # the term caps are exceptions, not asserts, so python -O keeps them
     code = ("from hmsums.field_arith import make_field\n"
-            "from hmsums.unit_domain import CapExceeded, weighted_lattice\n"
+            "from hmsums.lfunctions import eis\n"
+            "from hmsums.unit_domain import CapExceeded\n"
             "try:\n"
-            "    weighted_lattice(make_field(7), 0.01, 0.01, 30.0, 1000)\n"
+            "    eis(make_field(7), (0.1j, 0.1j), 2.0, mu_cap=100)\n"
             "except CapExceeded:\n"
             "    print('raised')\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
