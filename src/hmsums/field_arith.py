@@ -388,25 +388,34 @@ def exact_quotient(d: OFElem, c: OFElem) -> tuple:
 def divmod_near(d: OFElem, c: OFElem) -> tuple:
     """Division d = c*q + r with q an integer point near d/c minimizing |N(r)|.
 
-    The quotient search scans a +-2 window on each coordinate around the exact
-    field quotient; ties on |N(r)| are broken by smaller remainder coordinates,
-    then lexicographic (a, b) on the quotient, so the result is deterministic.
+    The quotient search scans a +-2 window on each coordinate around the
+    floor of the exact field quotient; ties on |N(r)| are broken by smaller
+    remainder coordinates, then lexicographic (a, b) on the quotient, so the
+    result is deterministic.  In degree 1 both windows fold into one,
+    q = floor(d/c) - 4 .. floor(d/c) + 4.
     """
     if not c:
         raise InvalidInput("division by zero")
     F = d.field
-    qa, qb = exact_quotient(d, c)
-    base_a = math.floor(qa)
-    base_b = math.floor(qb)
+    cc = c.conj()
+    nc, e = (c * cc).a, d * cc         # d/c = e / N(c) (c^2 in degree 1)
+    qa0, qb0 = e.a // nc, e.b // nc
+    if F.n == 1:
+        q = min(range(qa0 - 4, qa0 + 5), key=lambda q: (abs(d.a - c.a * q), q))
+        return F.elem(q), F.elem(d.a - c.a * q)
+    # r = d - qa c - qb (c w), N(a + b w) = a^2 + t a b - p b^2
+    cw = c * F.elem(0, 1)
+    t, p = (1, (F.D - 1) // 4) if F.basis_half else (0, F.D)
     best = None
-    for da in range(-2, 3):
-        for db in range(-2, 3):
-            q = F.elem(base_a + da, base_b + db)
-            r = d - c * q
-            key = (abs(r.norm()), r.a * r.a + r.b * r.b, q.a, q.b)
+    for qa in range(qa0 - 2, qa0 + 3):
+        for qb in range(qb0 - 2, qb0 + 3):
+            ra, rb = d.a - qa * c.a - qb * cw.a, d.b - qa * c.b - qb * cw.b
+            key = (abs(ra * ra + t * ra * rb - p * rb * rb), ra * ra + rb * rb,
+                   qa, qb)
             if best is None or key < best[0]:
-                best = (key, q, r)
-    return best[1], best[2]
+                best = (key, ra, rb)
+    (_, _, qa, qb), ra, rb = best
+    return F.elem(qa, qb), F.elem(ra, rb)
 
 
 def gcd_chain(c: OFElem, d: OFElem) -> tuple:

@@ -46,16 +46,29 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma as _gamma, kv as _kv, zeta as _zeta
 
 from .field_arith import FieldData, ModMatrix, kronecker
 from .eta_engine import _geom, _insert, _prime_powers, check_uhp
 from .quasi_elliptic import QuasiEllipticData, quasi_data, psi, NotQuasiElliptic
 from .unit_domain import (CapExceeded, InvalidInput, TruncationParams,
                           _expand_rows, _half_diamond_rows, _norms,
-                          enumerate_unit_orbits, module_orbit_arrays)
+                          module_orbit_arrays)
 
 TWO_PI = 2.0 * math.pi
+
+
+@lru_cache(maxsize=None)
+def _special():
+    """scipy.special, imported on first use: only E_F, zeta_F and the
+    period identity's Gamma factors need it, and the import costs more than
+    the rest of the package's."""
+    import scipy.special
+    return scipy.special
+
+
+def _kv(v, x):
+    """The modified Bessel function K_v(x) (scipy.special.kv)."""
+    return _special().kv(v, x)
 
 
 # -- the partial L-function ---------------------------------------------------
@@ -113,11 +126,12 @@ def field_zeta(field: FieldData, w: float) -> float:
     """zeta_F(w) for real w > 1: zeta(w) L(w, chi) with chi = chi_{d_F} and
     L(w, chi) = d_F^-w sum_{a < d_F} chi(a) zeta(w, a/d_F) (Hurwitz zeta);
     zeta(w) over Q."""
+    zeta = _special().zeta
     if field.n == 1:
-        return float(_zeta(w))
+        return float(zeta(w))
     d = field.d_F
-    return float(_zeta(w)) * d ** -w * math.fsum(
-        kronecker(d, a) * _zeta(w, a / d) for a in range(1, d))
+    return float(zeta(w)) * d ** -w * math.fsum(
+        kronecker(d, a) * zeta(w, a / d) for a in range(1, d))
 
 
 def _sigma_table(field: FieldData, w: float, X: int, cap: float) -> tuple:
@@ -222,10 +236,11 @@ def _eis_core(field: FieldData, z: tuple, s: float, j: int, want_deriv: bool,
             d_x += np.sum(xi[j] * term)
             factor[j] = np.abs(xi[j]) ** (nu + 1) * _kv(nu + 1, arg[j])
             d_y += np.sum(base * factor.prod(0))
+    gamma = _special().gamma
     c_2s = ny ** s * field_zeta(field, 2 * s)
-    c_2s1 = (math.sqrt(math.pi) * _gamma(nu) / _gamma(s)) ** n \
+    c_2s1 = (math.sqrt(math.pi) * gamma(nu) / gamma(s)) ** n \
         * ny ** (1 - s) * field_zeta(field, 2 * s - 1) / math.sqrt(field.d_F)
-    pref = 2 * (2 * math.pi ** s / _gamma(s)) ** n * math.sqrt(ny / field.d_F)
+    pref = 2 * (2 * math.pi ** s / gamma(s)) ** n * math.sqrt(ny / field.d_F)
     value = c_2s + c_2s1 + pref * total.real
     if not want_deriv:
         return value, 0.0
@@ -251,67 +266,6 @@ def eis_dz1(field: FieldData, z: tuple, s: float, j: int = 0,
     for eis."""
     _, dvalue = _eis_core(field, z, s, j, True, trunc, mu_cap)
     return dvalue
-
-
-def eis_direct(field: FieldData, z: tuple, s: float, box: float = 60.0,
-               max_terms: int = 5_000_000) -> tuple:
-    """Reference implementation by direct lattice summation (slowly
-    convergent; used to cross-check the Poisson evaluation).  Returns
-    (E_F, dE_F/dz_1) with the derivative from its own termwise series:
-
-        (s/2i) sum y_1^{s-1} (mu_1 conj(z_1) + nu_1)^2 / |mu_1 z_1 + nu_1|^{2s+2}
-               * prod_{k>1} y_k^s / |mu_k z_k + nu_k|^{2s}.
-    """
-    z = tuple(complex(w) for w in z)
-    n = field.n
-    y = [w.imag for w in z]
-    py = float(np.prod(y))
-    val = 0.0
-    dval = 0.0 + 0.0j
-    # (0, nu): nu runs over unit-orbit representatives, not the whole box
-    for nu in enumerate_unit_orbits(field, (box / min(y)) ** n):
-        ne = nu.embeddings()
-        val += py ** s / float(np.prod([abs(e) ** (2 * s) for e in ne]))
-        dval += (s / 2j) * y[0] ** (s - 1) / abs(ne[0]) ** (2 * s) \
-            * float(np.prod([y[k] ** s / abs(ne[k]) ** (2 * s)
-                             for k in range(1, n)]))
-    for mu in enumerate_unit_orbits(field, (box / min(y)) ** n):
-        me = np.array(mu.embeddings())
-        # nu in a real-part box around -mu_k z_k at every embedding
-        if n == 1:
-            lo = [-me[0] * z[0].real - box]
-            hi = [-me[0] * z[0].real + box]
-            nu1 = np.arange(math.ceil(lo[0]), math.floor(hi[0]) + 1)
-            f = [me[0] * np.asarray(z[0]) + nu1]
-        else:
-            w1, w2 = field.w_embs
-            ctr = [-me[k] * z[k].real for k in range(2)]
-            bb = np.arange(math.ceil((ctr[0] - box - (ctr[1] + box)) / (w1 - w2)),
-                           math.floor((ctr[0] + box - (ctr[1] - box)) / (w1 - w2)) + 1)
-            rows_a, rows_b = [], []
-            for b in bb:
-                a_lo = math.ceil(max(ctr[0] - box - b * w1, ctr[1] - box - b * w2))
-                a_hi = math.floor(min(ctr[0] + box - b * w1, ctr[1] + box - b * w2))
-                if a_hi >= a_lo:
-                    aa = np.arange(a_lo, a_hi + 1)
-                    rows_a.append(aa)
-                    rows_b.append(np.full(aa.shape, b))
-            A = np.concatenate(rows_a) if rows_a else np.zeros(0)
-            Bc = np.concatenate(rows_b) if rows_b else np.zeros(0)
-            if A.size > max_terms:
-                raise CapExceeded("direct-sum box too large")
-            f = [me[k] * z[k] + (A + Bc * field.w_embs[k]) for k in range(2)]
-        q = np.abs(f[0]) ** 2
-        for k in range(1, n):
-            q = q * np.abs(f[k]) ** 2
-        ok = q > 1e-18
-        val += py ** s * float(np.sum(1.0 / q[ok] ** s))
-        dterm = (np.conj(f[0]) ** 2 / np.abs(f[0]) ** (2 * s + 2))[ok]
-        rest = np.ones_like(dterm)
-        for k in range(1, n):
-            rest = rest * (y[k] ** s / np.abs(f[k]) ** (2 * s))[ok]
-        dval += (s / 2j) * y[0] ** (s - 1) * np.sum(dterm * rest)
-    return val, dval
 
 
 # -- the geodesic arc and its period ------------------------------------------
@@ -437,8 +391,9 @@ def period_rhs(A: ModMatrix, s: float, norm_bound: float = 2000.0) -> tuple:
     returned as (value, tail_budget)."""
     data = quasi_data(A)
     la = l_a(A, s, norm_bound)
-    pref = (_gamma((s + 1) / 2) ** 2 * volume(data) ** s
-            / (_gamma(s) * 2j * data.field.d_F ** s))
+    gamma = _special().gamma
+    pref = (gamma((s + 1) / 2) ** 2 * volume(data) ** s
+            / (gamma(s) * 2j * data.field.d_F ** s))
     return pref * la.value, abs(pref) * la.tail_error
 
 

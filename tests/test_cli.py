@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -136,3 +139,28 @@ def test_determinism_modulo_wall_time(capsys):
     for r in (r1, r2):
         del r["aggregate"]["wall_time"]
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+
+
+def test_scipy_loaded_only_by_eisenstein_series():
+    # phi, s_j, Psi and L_A need no special functions; the first E_F call
+    # imports scipy.special
+    code = ("import sys\n"
+            "import hmsums.cli as cli\n"
+            "from hmsums.lfunctions import eis\n"
+            "from hmsums.unit_domain import TruncationParams\n"
+            "F = cli.make_field(7)\n"
+            "A = F.matrix((-2, -1), (1, 1), (3, 1), (-2, -1))\n"
+            "cli.phi(F, A)\n"
+            "cli.sum_s(F, F.elem(1, 0), F.elem(3, 1), (0.35 + 1.05j,))\n"
+            "cli.psi(F, A)\n"
+            "cli.l_a(A, 2.0, 500)\n"
+            "print('scipy' in sys.modules)\n"
+            "eis(F, (0.2 + 0.9j, -0.3 + 1.2j), 2.0, TruncationParams(20.0))\n"
+            "print('scipy.special' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    paths = [os.path.abspath(src), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "True"]

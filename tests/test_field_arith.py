@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hmsums.field_arith import (InvalidInput, NotCoprime, divmod_near,
                                 ext_gcd, identity, kronecker, make_field,
                                 matrix_S, of_gcd)
+from oracles import divmod_near_scan
 
 SUPPORTED = [2, 3, 5, 7, 13]
 
@@ -171,6 +173,38 @@ def test_divmod_near_descends(D, a, b, c, d):
     q, r = divmod_near(x, y)
     assert x == y * q + r
     assert abs(r.norm()) < abs(y.norm())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1] + SUPPORTED), st.integers(-10 ** 12, 10 ** 12),
+       st.integers(-10 ** 12, 10 ** 12), st.integers(-10 ** 6, 10 ** 6),
+       st.integers(-10 ** 6, 10 ** 6))
+def test_divmod_near_matches_scan(D, a, b, c, d):
+    # the integer search returns the (q, r) of the OFElem/Fraction scan
+    F = fld(D)
+    x, y = F.elem(a, b), F.elem(c, d)
+    if y:
+        assert divmod_near(x, y) == divmod_near_scan(x, y)
+
+
+@pytest.mark.parametrize("D", [1] + SUPPORTED)
+def test_divmod_near_matches_scan_on_ties_and_edges(D):
+    # small divisors put d/c on half and third points, where several
+    # quotients tie on |N(r)| and on the remainder coordinates; among
+    # mid-size pairs about a fifth of the quotients sit on the edge of the
+    # +-2 window
+    F = fld(D)
+    rng = random.Random(D)
+    divisors = [F.elem(a, b) for a, b in ((2, 0), (3, 0), (-2, 0), (0, 2),
+                                          (1, 1), (2, 2), (-1, 2), (4, 1))]
+    pairs = [(F.elem(a, b), y) for y in divisors
+             for a in range(-7, 8) for b in range(-7, 8)]
+    pairs += [(F.elem(rng.randint(-500, 500), rng.randint(-500, 500)),
+               F.elem(rng.randint(-30, 30), rng.randint(-30, 30)))
+              for _ in range(1000)]
+    for x, y in pairs:
+        if y:
+            assert divmod_near(x, y) == divmod_near_scan(x, y), (x, y)
 
 
 def test_ext_gcd_witnesses():

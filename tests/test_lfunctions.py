@@ -6,19 +6,19 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hmsums import lfunctions, unit_domain
 from hmsums.field_arith import divides, make_field, matrix_S
-from hmsums.lfunctions import (InvalidInput, eis, eis_direct, eis_dz1,
-                               field_zeta, geodesic_arc, geodesic_period, l_a,
+from hmsums.lfunctions import (InvalidInput, eis, eis_dz1, field_zeta,
+                               geodesic_arc, geodesic_period, l_a,
                                l_a_deriv_report, period_defect,
                                period_integrand, period_rhs, volume)
 from hmsums.quasi_elliptic import NotQuasiElliptic, quasi_data
 from hmsums.unit_domain import (CapExceeded, TruncationParams,
                                 enumerate_module_orbits,
                                 enumerate_unit_orbits)
-from oracles import eis_per_mu
+from oracles import eis_direct, eis_per_mu
 
 F1 = make_field(1)
 F7 = make_field(7)
@@ -142,18 +142,25 @@ def test_eis_degree_one_matches_direct():
 @given(st.sampled_from([1, 2, 3, 5, 7, 13]), st.sampled_from([0, 1]),
        st.tuples(st.floats(-1, 1), st.floats(-2, 1)),
        st.tuples(st.floats(-1, 1), st.floats(-2, 1)))
+@example(2, 0, (0.0, -2.0), (1.0, -2.0))
+@example(2, 0, (0.0, -1.75), (1.0, -2.0))
 def test_eis_matches_per_mu_oracle(D, j, p1, p2):
     # one Bessel term per xi weighted by sigma_{1-2s}((xi delta)) is the
     # per-mu Poisson sum over the same frequencies; the oracle's mu-cap holds
-    # every divisor of every summed xi delta
+    # every divisor of every summed xi delta.  Both routes round each term,
+    # so the bound is relative to the summed term size the oracle returns:
+    # at the two examples the terms reach 989 and c_2s1 = 533 against
+    # E_F = 2.04, and both routes sit 3e-13 to 3e-12 (value) and 3e-12 to
+    # 2e-11 (derivative) from a 30-digit sum of the same terms, about 1e-16
+    # of that size
     F = make_field(D)
     z = tuple(complex(x, math.exp(t)) for x, t in (p1, p2)[:F.n])
     j = min(j, F.n - 1)
     B, s = 20.0, 2.7
-    v, dv = eis_per_mu(F, z, s, j, B, 20000.0)
+    v, dv, size, dsize = eis_per_mu(F, z, s, j, B, 20000.0)
     trunc = TruncationParams(weight_bound=B)
-    assert eis(F, z, s, trunc) == pytest.approx(v, rel=1e-13)
-    assert eis_dz1(F, z, s, j, trunc) == pytest.approx(dv, rel=1e-13)
+    assert abs(eis(F, z, s, trunc) - v) <= 1e-14 * size
+    assert abs(eis_dz1(F, z, s, j, trunc) - dv) <= 1e-14 * dsize
 
 
 def test_eis_mu_cap_raises():
@@ -223,7 +230,7 @@ def test_eis_rejects_bad_input(z, s):
 
 
 def test_eis_direct_term_cap():
-    with pytest.raises(lfunctions.CapExceeded):
+    with pytest.raises(CapExceeded):
         eis_direct(F7, Z2, 2.0, box=60.0, max_terms=10)
 
 
