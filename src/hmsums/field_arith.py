@@ -15,7 +15,7 @@ on both facts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -55,6 +55,12 @@ class FieldData:
     zeta2: float                # zeta_F(2)
     kappa: float                # d_F zeta_F(2) / (2^n R_F pi^(n+1))
     euclid_steps: int           # norm-Euclidean step count k
+    # (t, p) with N(a + b w) = a^2 + t a b - p b^2 in degree 2
+    norm_form: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "norm_form", (1, (self.D - 1) // 4)
+                           if self.basis_half else (0, self.D))
 
     # -- element constructors -------------------------------------------------
 
@@ -170,10 +176,9 @@ class OFElem:
         F = self.field
         if F.n == 1:
             return self.a
-        if F.basis_half:
-            return self.a * self.a + self.a * self.b \
-                - self.b * self.b * (F.D - 1) // 4
-        return self.a * self.a - self.b * self.b * F.D
+        t, p = F.norm_form
+        a, b = self.a, self.b
+        return a * a + t * a * b - p * b * b
 
     def trace(self) -> int:
         F = self.field
@@ -391,8 +396,7 @@ def divmod_near(d: OFElem, c: OFElem) -> tuple:
     The quotient search scans a +-2 window on each coordinate around the
     floor of the exact field quotient; ties on |N(r)| are broken by smaller
     remainder coordinates, then lexicographic (a, b) on the quotient, so the
-    result is deterministic.  In degree 1 both windows fold into one,
-    q = floor(d/c) - 4 .. floor(d/c) + 4.
+    result is deterministic.
     """
     if not c:
         raise InvalidInput("division by zero")
@@ -400,12 +404,10 @@ def divmod_near(d: OFElem, c: OFElem) -> tuple:
     cc = c.conj()
     nc, e = (c * cc).a, d * cc         # d/c = e / N(c) (c^2 in degree 1)
     qa0, qb0 = e.a // nc, e.b // nc
-    if F.n == 1:
-        q = min(range(qa0 - 4, qa0 + 5), key=lambda q: (abs(d.a - c.a * q), q))
-        return F.elem(q), F.elem(d.a - c.a * q)
-    # r = d - qa c - qb (c w), N(a + b w) = a^2 + t a b - p b^2
+    # r = d - qa c - qb (c w); in degree 1 w folds to 1, rb = 0 and the
+    # key orders by r^2, as by |N(r)| = |r|
     cw = c * F.elem(0, 1)
-    t, p = (1, (F.D - 1) // 4) if F.basis_half else (0, F.D)
+    t, p = F.norm_form
     best = None
     for qa in range(qa0 - 2, qa0 + 3):
         for qb in range(qb0 - 2, qb0 + 3):

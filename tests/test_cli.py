@@ -142,9 +142,9 @@ def test_determinism_modulo_wall_time(capsys):
 
 
 def test_scipy_loaded_only_by_eisenstein_series():
-    # phi, s_j, Psi and L_A need no special functions; the first E_F call
-    # imports scipy.special
-    code = ("import sys\n"
+    # phi, s_j, Psi and L_A, and the CLI commands running them, need no
+    # special functions; the first E_F call imports scipy.special
+    code = ("import contextlib, io, sys\n"
             "import hmsums.cli as cli\n"
             "from hmsums.lfunctions import eis\n"
             "from hmsums.unit_domain import TruncationParams\n"
@@ -154,6 +154,9 @@ def test_scipy_loaded_only_by_eisenstein_series():
             "cli.sum_s(F, F.elem(1, 0), F.elem(3, 1), (0.35 + 1.05j,))\n"
             "cli.psi(F, A)\n"
             "cli.l_a(A, 2.0, 500)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.run(['phi', '--d', '7', '--matrix',\n"
+            "             '[[[-2,-1],[1,1]],[[3,1],[-2,-1]]]'])\n"
             "print('scipy' in sys.modules)\n"
             "eis(F, (0.2 + 0.9j, -0.3 + 1.2j), 2.0, TruncationParams(20.0))\n"
             "print('scipy.special' in sys.modules)\n")
