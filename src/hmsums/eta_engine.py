@@ -1,9 +1,9 @@
 """Eta-type exponential series and transformation defects.
 
 For a point z = (z_1, ..., z_n) in the product of upper half-planes, the
-engine evaluates an exponential lattice series Omega_j(z) over orbits of
-pairs (mu, nu) under the totally positive units, and from it the log-eta-type
-function
+engine evaluates an exponential lattice series Omega_j(z), whose xi-sum and
+divisor weights (_xi_chunks, _sigma_table) also serve the Eisenstein series
+E_F of lfunctions, and from it the log-eta-type function
 
     Lambda_j(z) = i*pi*kappa_F * z_j * prod_{k != j} y_k
                   - (sqrt(d_F) / (2 R_F)) * Omega_j(z).
@@ -57,14 +57,13 @@ def _y_rest(z_hat: tuple) -> float:
     return math.prod(w.imag for w in z_hat)
 
 
-# D -> (X, start, sig, tau, r): omega's per-field table (_ideal_sums).
-_IDEAL_SUMS: dict = {}
+# (D, ws) -> (X, start, sigs, r): the tables of _sigma_table.
+_SIGMA: dict = {}
 
 
 def _geom(p, e):
-    """1 + p + ... + p^e (e may be an integer array), exact for an int p."""
-    t = p ** (e + 1) - 1
-    return t // (p - 1) if isinstance(p, int) else t / (p - 1)
+    """1 + p + ... + p^e (e may be an integer array), exact for integral p."""
+    return e + 1 if p == 1 else (p ** (e + 1) - 1) / (p - 1)
 
 
 def _prime_powers(g: int):
@@ -79,52 +78,100 @@ def _prime_powers(g: int):
         p += 1
 
 
-def _ideal_sums(field: FieldData, X: int) -> tuple:
-    """(start, sig, tau, r) for every m in O_F with N = |N(m)| <= X: for m
-    of content g (1 over Q), sig and tau hold sigma_{-1}((m)) and tau((m))
-    at start[g] + N // g^2; r[n] = sum_{d | n} chi(d) counts the ideals of
-    norm n (1 over Q).  A larger X rebuilds it at max(X, twice the old).
+def _sigma_table(field: FieldData, ws: tuple, X: int,
+                 cap: float = math.inf) -> tuple:
+    """(start, sigs, r) for every m in O_F with N = |N(m)| <= X and content
+    g (1 over Q): sigs[i][start[g] + N // g^2] = sigma_w((m)), the sum of
+    N(b)^w over the ideals b | (m), for w = ws[i] <= 0, and r[n] = sum_{d|n}
+    chi(d), the number of ideals of norm n (1 over Q).  N and g fix (m) up
+    to conjugating split primes.  A larger X rebuilds the table at
+    min(max(X, twice the old), cap).
 
-    One sieve over the divisor pairs N = k e, k <= e, gives sigma_1(N),
-    d(N) and r(N).  For p | g with chi(p) != 0, k = v_p(g), n = v_p(N),
-    the factors _geom(p, n) of sigma_1(N) and n+1 of d(N) become
-    _geom(p, k) _geom(p, n-k) and (k+1)(n-k+1) for split p, and
-    _geom(p^2, k) and k+1 for inert p: exact integers throughout.
+    One float sieve over the divisor pairs N = k e, k <= e, sums k^t and
+    chi(k) + chi(e): t = -w for -1 <= w <= 0, exact integers at w = 0, -1,
+    so sigma_w = sigma_t N^w is rounded once; t = w below -1, where k^-w
+    could overflow.  For p | g with chi(p) != 0, k = v_p(g), n = v_p(N) and
+    P = p^t, the factor _geom(P, n) becomes _geom(P, k) _geom(P, n-k) for
+    split p and _geom(P^2, k) for inert p; P and 1/P give the same ratio.
     """
-    table = _IDEAL_SUMS.get(field.D)
+    key = (field.D, tuple(float(w) for w in ws))
+    table = _SIGMA.get(key)
     if table is not None and table[0] >= X:
         return table[1:]
-    X = max(X, 1) if table is None else max(X, 2 * table[0])
+    X = max(X, 1) if table is None else int(min(max(X, 2 * table[0]), cap))
     d_F, G, ints = field.d_F, math.isqrt(X), np.arange(X + 1)
+    ts = [-w if w >= -1 else w for w in key[1]]
+    pws = [np.maximum(ints, 1) ** t for t in ts]      # pw[0] unused
     chi = np.resize([kronecker(d_F, a or d_F) for a in range(d_F)], X + 1)
-    s1, dN, r = (np.zeros(X + 1, dtype=np.int64) for _ in range(3))
+    sums, r = [np.zeros(X + 1) for _ in ts], np.zeros(X + 1, dtype=np.int64)
     for k in range(1, G + 1):                   # N = k e for e = k..X//k
-        s1[k * k::k] += k + ints[k:X // k + 1]
-        dN[k * k::k] += 2
+        for acc, pw in zip(sums, pws):
+            acc[k * k::k] += pw[k] + pw[k:X // k + 1]
+            acc[k * k] -= pw[k]                 # N = k^2 counted once
         r[k * k::k] += chi[k] + chi[k:X // k + 1]
-        s1[k * k] -= k                          # N = k^2 counted once
-        dN[k * k] -= 1
         r[k * k] -= chi[k]
     if field.n == 1:
         r[1:] = 1
+    G = G if field.n == 2 else 1                # content 1 over Q
     start = np.concatenate(([0, 0], np.cumsum(X // ints[1:G + 1] ** 2 + 1)))
-    sig, tau = np.zeros(start[-1]), np.zeros(start[-1], dtype=np.int64)
+    sigs = [np.zeros(start[-1]) for _ in ts]
+    local = {}      # p -> (v_p(q) for q <= X/p^2, [(P, _geom(P, v)) per t])
     for g in range(1, G + 1):
-        q = ints[1:X // (g * g) + 1]                # N / g^2
-        num, cnt = s1[g * g * q], dN[g * g * q]
-        for p, k in _prime_powers(g) if field.n == 2 else ():
+        M = X // (g * g)
+        N = g * g * ints[1:M + 1]
+        vals = [acc[N] for acc in sums]
+        for p, k in _prime_powers(g):
             if not chi[p]:
                 continue
-            n = 2 * k + sum(q % p ** i == 0
-                            for i in range(1, int(math.log(q[-1], p)) + 2))
-            split = chi[p] > 0
-            num = num // _geom(p, n) * (_geom(p, k) * _geom(p, n - k)
-                                        if split else _geom(p * p, k))
-            cnt = cnt // (n + 1) * (k + 1) * ((n - k + 1) if split else 1)
-        sig[start[g] + 1:start[g + 1]] = num / (g * g * q)
-        tau[start[g] + 1:start[g + 1]] = cnt
-    _IDEAL_SUMS[field.D] = (X, start, sig, tau, r)
-    return start, sig, tau, r
+            if p not in local:
+                vq, pk = np.zeros(X // (p * p), dtype=np.int64), p
+                while pk <= vq.size:
+                    vq[pk - 1::pk] += 1
+                    pk *= p
+                e = np.arange(int(math.log(X, p)) + 2)
+                local[p] = vq, [(P, _geom(P, e))
+                                for P in (float(p) ** t for t in ts)]
+            vq, geoms = local[p]
+            n = vq[:M] + 2 * k                  # v_p(N)
+            for i, (P, f) in enumerate(geoms):
+                vals[i] = vals[i] / f[n] * (
+                    f[k] * f[n - k] if chi[p] > 0 else _geom(P * P, k))
+        for sig, val, w, t in zip(sigs, vals, key[1], ts):
+            sig[start[g] + 1:start[g + 1]] = val if t == w else val / N ** t
+    _SIGMA[key] = (X, start, sigs, r)
+    return start, sigs, r
+
+
+def _xi_chunks(field: FieldData, y, j: int, B: float, max_terms: int):
+    """The xi in delta^-1 with xi_j > 0 and w = 2 pi sum_k y_k |xi_k| <= B,
+    of Omega and E_F's Fourier sum, per chunk as (xi, w, g, N): the arrays
+    xi_k, and the content g and N = |N(m)| of m = xi*delta (_sigma_table).
+
+    The m form the half-diamond 2 pi (y_1|m_1/delta_1| + y_2|m_2/delta_2|)
+    <= B, sign(delta_j) m_j > 0 (unit_domain._half_diamond_rows); over Q,
+    the row m = 1..floor(B/(2 pi y)), clamped at max_terms + 1.  Float tests
+    decide each term.  Raises CapExceeded, before expanding any point, for
+    more than max_terms candidates.
+    """
+    d_embs = field.different.embeddings()
+    if field.n == 1:
+        top = math.floor(min(B / (TWO_PI * y[0]), max_terms + 1))
+        rows = [np.array([v], dtype=np.int64) for v in (0, 0, 1, top)]
+    else:
+        scale = [[TWO_PI * yk / abs(dk)] for yk, dk in zip(y, d_embs)]
+        rows = _half_diamond_rows(field.w_embs, *np.array(scale),
+                                  np.sign([d_embs[j]]), j, B)
+    n_cand = int(np.maximum(rows[3] - rows[2] + 1, 0).sum())
+    if n_cand > max_terms:
+        raise CapExceeded(f"series exceeds term cap: {n_cand} candidates")
+    for _, a, b in _expand_rows(*rows):
+        xi = [(a + b * wk) / dk for wk, dk in zip(field.w_embs, d_embs)]
+        w = TWO_PI * sum(yk * np.abs(xk) for yk, xk in zip(y, xi))
+        keep = np.nonzero((w <= B) & (xi[j] > 0))[0]
+        a, b = a[keep], b[keep]
+        g, N = (1, a) if field.n == 1 else \
+            (np.gcd(a, b), np.abs(_norms(field, a, b)))
+        yield [xk[keep] for xk in xi], w[keep], g, N
 
 
 def omega(field: FieldData, z: tuple, j: int,
@@ -136,61 +183,36 @@ def omega(field: FieldData, z: tuple, j: int,
 
     A term depends on xi alone, and the pairs with mu*nu = m = xi*delta are
     [U_F:U_F^+] per ideal divisor (nu) of (m) (class number 1; AM-GM keeps
-    |N(nu)| <= |N(m)| under the norm cap nu_cap).  Hence, as ln eta(z) =
+    |N(nu)| <= |N(m)| under the norm cap X).  Hence, as ln eta(z) =
     pi*i*z/12 - sum_n sigma_{-1}(n) q^n (Kronecker's limit formula; Siegel,
     Advanced Analytic Number Theory, ch. II; Zagier, Math. Ann. 213, 1975),
 
         Omega_j(z) = sum_{xi in delta^-1, xi_j > 0, w <= B}
                          sigma_{-1}((xi*delta)) e(xi, z),
 
-    and n_terms, the pairs, is [U_F:U_F^+] sum tau((xi*delta)).  Both sums
-    depend only on N = |N(m)| and the content g of m: m/g is divisible by
-    no inert prime and by at most one prime above each split p, so N and g
-    fix (m) up to conjugating split primes (table: _ideal_sums).
-
-    The m form the half-diamond 2*pi*(y_1|m_1/delta_1| + y_2|m_2/delta_2|)
-    <= B, sign(delta_j) m_j > 0 (unit_domain._half_diamond_rows); over Q,
-    m = 1..floor(nu_cap).  Float tests w <= B and xi_j > 0 decide each term.
-    Raises CapExceeded for more candidates or pairs than max_terms.
+    and n_terms, the pairs, is [U_F:U_F^+] sum tau((xi*delta)).  Raises
+    CapExceeded for more candidates or pairs than max_terms.
     """
     z = check_uhp(field, z)
     B, idx = trunc.weight_bound, field.unit_index
     x, y = [w.real for w in z], [w.imag for w in z]
-    d_embs = field.different.embeddings()
-    if field.n == 1:
-        nu_cap = B / (TWO_PI * y[0])
-        a = np.arange(1, math.floor(nu_cap) + 1, dtype=np.int64)
-        chunks, n_cand = [(None, a, np.zeros_like(a))], a.size
-    else:
-        nu_cap = (B / (4 * math.pi)) ** 2 * field.d_F / (y[0] * y[1])
-        scale = [[TWO_PI * yk / abs(dk)] for yk, dk in zip(y, d_embs)]
-        rows = _half_diamond_rows(field.w_embs, *np.array(scale),
-                                  np.sign([d_embs[j]]), j, B)
-        n_cand = int(np.maximum(rows[3] - rows[2] + 1, 0).sum())
-        chunks = _expand_rows(*rows)
-    if n_cand > trunc.max_terms:
-        raise CapExceeded(f"series exceeds term cap: {n_cand} candidates")
-    X = math.floor(nu_cap)
+    X = math.floor(B / (TWO_PI * y[0]) if field.n == 1 else
+                   (B / (4 * math.pi)) ** 2 * field.d_F / (y[0] * y[1]))
     total, n_terms = 0j, 0
-    for _, a, b in chunks:
-        xi = [(a + b * wk) / dk for wk, dk in zip(field.w_embs, d_embs)]
-        w = TWO_PI * sum(yk * np.abs(xk) for yk, xk in zip(y, xi))
-        keep = np.nonzero((w <= B) & (xi[j] > 0))[0]
-        a, b = a[keep], b[keep]
-        g, nrm = (1, a) if field.n == 1 else \
-            (np.gcd(a, b), np.abs(_norms(field, a, b)))
-        start, sig, tau, _ = _ideal_sums(field, int(nrm.max(initial=X)))
+    for xi, w, g, nrm in _xi_chunks(field, y, j, B, trunc.max_terms):
+        start, (sig, tau), _ = _sigma_table(field, (-1, 0),
+                                            int(nrm.max(initial=X)))
         key = start[g] + nrm // (g * g)
         n_terms += idx * int(tau[key].sum())
         if n_terms > trunc.max_terms:
             raise CapExceeded("series exceeds term cap")
-        phase = TWO_PI * sum(xk[keep] * xr for xk, xr in zip(xi, x))
-        total += complex(np.sum(sig[key] * np.exp(1j * phase - w[keep])))
+        phase = TWO_PI * sum(xk * xr for xk, xr in zip(xi, x))
+        total += complex(np.sum(sig[key] * np.exp(1j * phase - w)))
     # Dropped terms per nu of norm n: over Q the mu past B; in degree 2 about
     # 2(B+s)/(alpha*beta) in the weight shell [B+s, B+s+1), alpha*beta =
     # 4 pi^2 y_1 y_2 n/d_F.  The nu past the norm cap add e^-B at most each.
     n = np.arange(1, X + 1)
-    count = idx * _ideal_sums(field, X)[3][1:X + 1]       # the nu of norm n
+    count = idx * _sigma_table(field, (-1, 0), X)[2][1:X + 1]  # nu of norm n
     dens, shell = (2.0 / (1 - np.exp(-TWO_PI * y[0] * n)), 1.0) \
         if field.n == 1 else (2.0 * (B + 2.0) * field.d_F / (
             TWO_PI ** 2 * y[0] * y[1] * n) + 4.0, 1 - math.exp(-1.0))

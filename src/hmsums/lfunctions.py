@@ -35,7 +35,8 @@ for real quadratic fields, Math. Ann. 213, 1975):
               sigma_{1-2s}((xi delta)) prod_k |xi_k|^(s-1/2)
               K_{s-1/2}(2 pi |xi_k| y_k) e(xi x),
 
-with n = [F:Q], N(y) = prod y_k and sigma_w(a) = sum_{b | a} N(b)^w.
+with n = [F:Q], N(y) = prod y_k and sigma_w(a) = sum_{b | a} N(b)^w.  The xi
+and sigma_w come from eta_engine, whose Omega is the same sum at w = -1.
 """
 
 from __future__ import annotations
@@ -48,13 +49,10 @@ from functools import lru_cache
 import numpy as np
 
 from .field_arith import FieldData, ModMatrix, kronecker
-from .eta_engine import _geom, _insert, _prime_powers, check_uhp
+from .eta_engine import TWO_PI, _insert, _sigma_table, _xi_chunks, check_uhp
 from .quasi_elliptic import QuasiEllipticData, quasi_data, psi, NotQuasiElliptic
 from .unit_domain import (CapExceeded, InvalidInput, TruncationParams,
-                          _expand_rows, _half_diamond_rows, _norms,
                           module_orbit_arrays)
-
-TWO_PI = 2.0 * math.pi
 
 
 @lru_cache(maxsize=None)
@@ -117,63 +115,19 @@ def l_a(A: ModMatrix, s: complex, norm_bound: float = 2000.0,
 
 # -- Eisenstein series as a divisor sum ---------------------------------------
 
-# (D, w) -> (X, start, sig): _sigma_table.
-_SIGMA: dict = {}
-
-
 @lru_cache(maxsize=None)
 def field_zeta(field: FieldData, w: float) -> float:
     """zeta_F(w) for real w > 1: zeta(w) L(w, chi) with chi = chi_{d_F} and
     L(w, chi) = d_F^-w sum_{a < d_F} chi(a) zeta(w, a/d_F) (Hurwitz zeta);
     zeta(w) over Q."""
+    if not w > 1:
+        raise InvalidInput(f"zeta_F is evaluated for real w > 1, got {w}")
     zeta = _special().zeta
     if field.n == 1:
         return float(zeta(w))
     d = field.d_F
     return float(zeta(w)) * d ** -w * math.fsum(
         kronecker(d, a) * zeta(w, a / d) for a in range(1, d))
-
-
-def _sigma_table(field: FieldData, w: float, X: int, cap: float) -> tuple:
-    """(start, sig) with sig[start[g] + N // g^2] = sigma_w((m)), the sum of
-    N(b)^w over the ideals b | (m), for every m in O_F of content g (1 over
-    Q) and N = |N(m)| <= X, laid out as eta_engine._ideal_sums (N and g fix
-    (m) up to conjugation).  A larger X rebuilds it at min(max(X, twice the
-    old), cap).  A float sieve over the divisor pairs N = k e gives
-    sigma_w(N) = sum_{k | N} k^w; for p | g with chi(p) != 0, k = v_p(g),
-    n = v_p(N), its factor _geom(p^w, n) becomes _geom(p^w, k)
-    _geom(p^w, n-k) for split p and _geom(p^2w, k) for inert p.
-    """
-    key = (field.D, float(w))
-    table = _SIGMA.get(key)
-    if table is not None and table[0] >= X:
-        return table[1:]
-    X = max(X, 1) if table is None else int(min(max(X, 2 * table[0]), cap))
-    G, ints = math.isqrt(X), np.arange(X + 1)
-    pw = np.concatenate(([0.0], ints[1:] ** float(w)))
-    sig_n = np.zeros(X + 1)
-    for k in range(1, G + 1):                   # N = k e for e = k..X//k
-        sig_n[k * k::k] += pw[k] + pw[k:X // k + 1]
-        sig_n[k * k] -= pw[k]                   # N = k^2 counted once
-    G = G if field.n == 2 else 1                # content 1 over Q
-    start = np.concatenate(([0, 0], np.cumsum(X // ints[1:G + 1] ** 2 + 1)))
-    sig = np.zeros(start[-1])
-    for g in range(1, G + 1):
-        q = ints[1:X // (g * g) + 1]                # N / g^2
-        val = sig_n[g * g * q]
-        for p, k in _prime_powers(g):
-            chi = kronecker(field.d_F, p)
-            if not chi:
-                continue
-            n = 2 * k + sum(q % p ** i == 0
-                            for i in range(1, int(math.log(q[-1], p)) + 2))
-            pw_p = float(p) ** w
-            val = val / _geom(pw_p, n) * (
-                _geom(pw_p, k) * _geom(pw_p, n - k) if chi > 0
-                else _geom(pw_p * pw_p, k))
-        sig[start[g] + 1:start[g + 1]] = val
-    _SIGMA[key] = (X, start, sig)
-    return start, sig
 
 
 def _eis_core(field: FieldData, z: tuple, s: float, j: int, want_deriv: bool,
@@ -186,11 +140,9 @@ def _eis_core(field: FieldData, z: tuple, s: float, j: int, want_deriv: bool,
 
     c_2s = N(y)^s zeta_F(2s), c_2s1 = d_F^-1/2 (sqrt(pi) Gamma(nu)/Gamma(s))^n
     N(y)^(1-s) zeta_F(2s-1) and pref = 2 d_F^-1/2 (2 pi^s/Gamma(s))^n
-    sqrt(N(y)); -xi gives the conjugate term of xi.  The m = xi delta form
-    the half-diamond 2 pi (y_1|m_1/delta_1| + y_2|m_2/delta_2|) <= B =
-    trunc.weight_bound, sign(delta_1) m_1 > 0 (_half_diamond_rows); over Q,
-    the row m = 1..floor(B/(2 pi y)).  The float test 2 pi sum_k y_k |xi_k|
-    <= B decides each term: the terms of the per-mu Poisson sums at bound B.
+    sqrt(N(y)); -xi gives the conjugate term of xi.  eta_engine._xi_chunks
+    gives the xi with 2 pi sum_k y_k |xi_k| <= B = trunc.weight_bound, the
+    terms of the per-mu Poisson sums at bound B, and _sigma_table sigma_w.
 
     d/dx_j brings down 2 pi i xi_j; d/dy_j gives s/y_j times a term minus
     2 pi |xi_j| times it with K_{nu+1} at j (K'_nu(x) = -K_{nu+1}(x) +
@@ -201,33 +153,15 @@ def _eis_core(field: FieldData, z: tuple, s: float, j: int, want_deriv: bool,
     z, s = check_uhp(field, z), float(s)
     if not s >= 1.5:
         raise InvalidInput(f"the truncation requires s >= 1.5, got {s}")
-    n, B = field.n, trunc.weight_bound
     x, y = np.array([w.real for w in z]), np.array([w.imag for w in z])
-    ny, nu = math.prod(y), s - 0.5
-    d_embs = field.different.embeddings()
-    if n == 1:      # one row, b = 0 and 1 <= a <= B/(2 pi y), clamped
-        top = min(math.floor(B / (TWO_PI * y[0])), trunc.max_terms + 1)
-        rows = [np.array([v], dtype=np.int64) for v in (0, 0, 1, top)]
-    else:
-        scale = [[TWO_PI * yk / abs(dk)] for yk, dk in zip(y, d_embs)]
-        rows = _half_diamond_rows(field.w_embs, *np.array(scale),
-                                  np.sign([d_embs[0]]), 0, B)
-    n_cand = int(np.maximum(rows[3] - rows[2] + 1, 0).sum())
-    if n_cand > trunc.max_terms:
-        raise CapExceeded(f"series exceeds term cap: {n_cand} candidates")
+    n, ny, nu, B = field.n, math.prod(y), s - 0.5, trunc.weight_bound
     total, d_x, d_y = 0j, 0j, 0j
-    for _, a, b in _expand_rows(*rows):
-        xi = np.array([(a + b * wk) / dk
-                       for wk, dk in zip(field.w_embs, d_embs)])
-        arg = TWO_PI * y[:, None] * np.abs(xi)       # 2 pi y_k |xi_k|
-        keep = np.nonzero((arg.sum(0) <= B) & (xi[0] > 0))[0]
-        a, b, xi, arg = a[keep], b[keep], xi[:, keep], arg[:, keep]
-        g, nrm = (1, a) if n == 1 else \
-            (np.gcd(a, b), np.abs(_norms(field, a, b)))
+    for xi, _, g, nrm in _xi_chunks(field, y, 0, B, trunc.max_terms):
         top = int(nrm.max(initial=0))
         if top > mu_cap:
             raise CapExceeded(f"|N(xi delta)| = {top} exceeds mu_cap {mu_cap}")
-        start, sig = _sigma_table(field, 1 - 2 * s, top, mu_cap)
+        start, (sig,), _ = _sigma_table(field, (1 - 2 * s,), top, mu_cap)
+        arg = TWO_PI * y[:, None] * np.abs(xi)       # 2 pi y_k |xi_k|
         base = sig[start[g] + nrm // (g * g)] * np.exp(1j * TWO_PI * (x @ xi))
         factor = np.abs(xi) ** nu * _kv(nu, arg)
         term = base * factor.prod(0)

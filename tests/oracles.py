@@ -8,6 +8,13 @@ xi = mu xi', so the two agree term set for term set at equal weight bound.
 eis_direct sums the defining lattice series itself over a box.
 divmod_near_scan is field_arith.divmod_near on OFElem arithmetic and exact
 Fractions.
+
+The orbit functions at the end pick representatives of O_F \\ {0} under
+U_F^+ and U_F, and of M \\ {0} under U, one element at a time.  Orbits are
+keyed by a balanced logarithmic coordinate, such as t = ln|x_1| - ln|x_2|,
+which a generator shifts by a fixed amount; a centred half-open window on it
+picks a unique representative.  The library enumerates module orbits in
+unit_domain.module_orbit_arrays, and no longer needs these.
 """
 
 from __future__ import annotations
@@ -20,8 +27,9 @@ from scipy.special import gamma, kv
 
 from hmsums.field_arith import (FieldData, InvalidInput, OFElem,
                                 exact_quotient)
-from hmsums.unit_domain import (CapExceeded, _box, _expand_rows, _lattice_boxes,
-                                enumerate_unit_orbits)
+from hmsums.unit_domain import (_EDGE, CapExceeded, _expand_rows,
+                                _lattice_boxes, _norms, _ragged_arange,
+                                module_orbit_arrays)
 
 TWO_PI = 2.0 * math.pi
 
@@ -194,3 +202,174 @@ def divmod_near_scan(d: OFElem, c: OFElem) -> tuple:
             if best is None or key < best[0]:
                 best = (key, q, r)
     return best[1], best[2]
+
+
+# -- unit and module orbit representatives -----------------------------------
+
+def log_ratio(x: OFElem) -> float:
+    """ln|x_1| - ln|x_2|.  The smaller embedding a + b*w cancels badly in
+    floating point, so it is taken from the exact norm as N(x)/x_big."""
+    if x.field.n == 1:
+        return 0.0
+    e1, e2 = x.embeddings()
+    if abs(e1) >= abs(e2):
+        return 2 * math.log(abs(e1)) - math.log(abs(x.norm()))
+    return math.log(abs(x.norm())) - 2 * math.log(abs(e2))
+
+
+def tp_orbit_rep(x: OFElem) -> tuple:
+    """Canonical representative of x * U_F^+, with the power of eta applied.
+
+    Returns (rep, k) with rep = x * eta^k and log-ratio in [-L, L), where eta
+    generates U_F^+ and L = ln eta_1.
+    """
+    if not x:
+        raise InvalidInput("zero has no unit orbit")
+    F = x.field
+    if F.n == 1:
+        return x, 0
+    L = F.log_eta1
+    t = log_ratio(x)
+    k = -math.floor((t + L + _EDGE) / (2 * L))
+    return x * F.tp_unit.pow(k), k
+
+
+def unit_orbit_rep(x: OFElem) -> OFElem:
+    """Canonical representative of x * U_F (full unit group, sign folded)."""
+    if not x:
+        raise InvalidInput("zero has no unit orbit")
+    F = x.field
+    if F.n == 1:
+        return x if x.a > 0 else -x
+    R = F.R_F
+    t = log_ratio(x)
+    k = -math.floor((t + R + _EDGE) / (2 * R))
+    y = x * F.eps_fund.pow(k)
+    return y if y.sign_emb(0) > 0 else -y
+
+
+
+def _box(field: FieldData, M1: float, M2: float, max_terms: int) -> tuple:
+    """Lattice points with |e1| <= M1, |e2| <= M2 (a parallelogram in the
+    embedding plane), enumerated row by row in the second coordinate.
+
+    Returns flattened int64 arrays (A, B) with embeddings and exact norms.
+    weighted_lattice and the orbit enumerations below take one centred box
+    each: the straight-line special case of unit_domain._lattice_boxes.
+    """
+    w1, w2 = field.w_embs
+    Bb = math.floor((M1 + M2) / (w1 - w2)) + 1
+    b = np.arange(-Bb, Bb + 1, dtype=np.int64)
+    lo = np.ceil(np.maximum(-M1 - b * w1, -M2 - b * w2)).astype(np.int64)
+    hi = np.floor(np.minimum(M1 - b * w1, M2 - b * w2)).astype(np.int64)
+    cnt = np.maximum(hi - lo + 1, 0)
+    total = int(cnt.sum())
+    if total > max_terms:
+        raise CapExceeded(f"lattice box too large: {total} points, "
+                          f"cap {max_terms}")
+    B = np.repeat(b, cnt)
+    A = _ragged_arange(lo, cnt)
+    return A, B, A + B * w1, A + B * w2, _norms(field, A, B)
+
+
+def _in_window(e1, e2, nrm, X: int, W: float) -> np.ndarray:
+    """Mask of the points with 0 < |N| <= X and log-ratio
+    ln|e1| - ln|e2| in the window [-W, W), nudged by _EDGE."""
+    mask = (nrm != 0) & (np.abs(nrm) <= X)
+    t = np.where(mask, np.log(np.abs(np.where(mask, e1, 1.0)))
+                 - np.log(np.abs(np.where(mask, e2, 1.0))), 0.0)
+    return mask & (t >= -W - _EDGE) & (t < W - _EDGE)
+
+
+def _window_radius(X: int, W: float) -> float:
+    """Box radius |e1|, |e2| <= M holding every point with |N| <= X and
+    log-ratio in [-W, W)."""
+    return math.sqrt(X * math.exp(W)) * (1 + 1e-12)
+
+
+def enumerate_tp_orbits(field: FieldData, norm_bound: float,
+                        max_terms: int = 5_000_000) -> list:
+    """Representatives of (O_F \\ 0)/U_F^+ with |N(nu)| <= norm_bound.
+
+    Both signs appear (U_F^+ does not contain -1); representatives have
+    log-ratio in [-L, L).
+    """
+    X = math.floor(norm_bound)
+    if X < 1:
+        return []
+    if field.n == 1:
+        return [field.elem(v) for v in range(-X, X + 1) if v]
+    L = field.log_eta1
+    A, B, e1, e2, nrm = _box(field, _window_radius(X, L), _window_radius(X, L),
+                             max_terms)
+    mask = _in_window(e1, e2, nrm, X, L)
+    return [field.elem(int(a), int(b)) for a, b in zip(A[mask], B[mask])]
+
+
+def enumerate_unit_orbits(field: FieldData, norm_bound: float,
+                          max_terms: int = 5_000_000) -> list:
+    """Representatives of (O_F \\ 0)/U_F with |N| <= norm_bound.
+
+    Signs are folded: the first embedding of each representative is positive.
+    """
+    X = math.floor(norm_bound)
+    if X < 1:
+        return []
+    if field.n == 1:
+        return [field.elem(v) for v in range(1, X + 1)]
+    R = field.R_F
+    A, B, e1, e2, nrm = _box(field, _window_radius(X, R), _window_radius(X, R),
+                             max_terms)
+    mask = _in_window(e1, e2, nrm, X, R) & (e1 > 0)
+    return [field.elem(int(a), int(b)) for a, b in zip(A[mask], B[mask])]
+
+
+
+def enumerate_module_orbits(data, norm_bound: float,
+                            max_terms: int = 5_000_000) -> list:
+    """Representatives of (M \\ 0)/U with |N(beta)| <= norm_bound as a list
+    of (m, n) pairs of O_F-elements, beta = m + n*omega, one per orbit; see
+    module_orbit_arrays for the orbit windows."""
+    F = data.field
+    orb = module_orbit_arrays(data, norm_bound, max_terms)
+    return [(F.elem(a, b), F.elem(c, d)) for a, b, c, d in zip(
+        orb.ma.tolist(), orb.mb.tolist(), orb.na.tolist(), orb.nb.tolist())]
+
+
+def _eps_action(data, m: OFElem, n: OFElem, k: int) -> tuple:
+    """Coordinates of eps^k * (m + n*omega): since eps*omega = a*omega + b
+    and eps = c*omega + d, one step maps (m, n) -> (d*m + b*n, c*m + a*n)."""
+    A = data.A if k >= 0 else data.A.inv()
+    for _ in range(abs(k)):
+        m, n = A.d * m + A.b * n, A.c * m + A.a * n
+    return m, n
+
+
+def module_orbit_rep(data, m: OFElem, n: OFElem) -> tuple:
+    """Canonical representative of the U-orbit of beta = m + n*omega, in the
+    same half-open log windows used by enumerate_module_orbits; idempotent."""
+    if not (m or n):
+        raise InvalidInput("zero has no unit orbit")
+    F = data.field
+    Wu = abs(math.log(abs(data.eps_r1)))
+    b1, b2, _ = data.beta_embs(m, n)
+    u = math.log(abs(b1)) - math.log(abs(b2))
+    step = 2 * math.log(abs(data.eps_r1))  # u-shift of one power of eps
+    k = -math.floor((u + Wu + _EDGE) / abs(step))
+    if step < 0:
+        k = -k
+    m, n = _eps_action(data, m, n, k)
+    if F.n == 2:
+        Wv = 2 * F.R_F
+        b1, b2, rest = data.beta_embs(m, n)
+        v = math.log(abs(b1 * b2)) - 2 * math.log(abs(rest[0]))
+        shift = 4 * math.log(abs(F.eps_fund.emb(data.j)))  # v-shift of eps_F
+        l = -math.floor((v + Wv + _EDGE) / abs(shift))
+        if shift < 0:
+            l = -l
+        e = F.eps_fund.pow(l)
+        m, n = e * m, e * n
+    b1, _, _ = data.beta_embs(m, n)
+    if b1 < 0:
+        m, n = -m, -n
+    return m, n

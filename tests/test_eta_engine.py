@@ -15,10 +15,9 @@ from hmsums.field_arith import (InvalidInput, divides, make_field, matrix_S,
 from hmsums.eta_engine import (apex_point, area_cocycle, classical_dedekind_s,
                                classical_ln_eta, classical_phi_R,
                                delta_cocycle, h_func, lam, omega, phi)
-from hmsums.unit_domain import (CapExceeded, TruncationParams,
-                                enumerate_tp_orbits, enumerate_unit_orbits,
-                                tp_orbit_rep, unit_orbit_rep)
-from oracles import weighted_lattice
+from hmsums.unit_domain import CapExceeded, TruncationParams
+from oracles import (enumerate_tp_orbits, enumerate_unit_orbits, tp_orbit_rep,
+                     unit_orbit_rep, weighted_lattice)
 
 F1 = make_field(1)
 F7 = make_field(7)
@@ -117,6 +116,9 @@ def test_omega_term_cap():
     z = (0.3 + 0.2j, 0.1 + 0.3j)
     with pytest.raises(CapExceeded, match="series exceeds term cap"):
         omega(F7, z, 0, TruncationParams(weight_bound=30.0, max_terms=32_300))
+    # over Q the row of 5.6e12 candidates is capped before it is allocated
+    with pytest.raises(CapExceeded, match="series exceeds term cap"):
+        omega(F1, (0.1 + 1e-12j,), 0)
 
 
 # Omega at B = 30 at a balanced, a low and a skewed point: the term counts,
@@ -195,19 +197,22 @@ def _ideal_key(F, m):
 
 @pytest.mark.parametrize("D", [1, 2, 3, 5, 7, 13])
 def test_ideal_divisor_sums_match_brute_force(D):
-    # sigma_{-1}((m)) and tau((m)) for every |N(m)| <= 300, against the
-    # divisors nu | m among the unit-orbit representatives (one per ideal)
+    # sigma_w((m)), the sum of N(b)^w over the ideals b | (m), for every
+    # |N(m)| <= 300, against the divisors nu | m among the unit-orbit
+    # representatives (one per ideal): tau = sigma_0 exactly, and sigma_-1,
+    # Omega's weight, rounded once
     F = make_field(D)
-    start, sig, tau, _ = eta_engine._ideal_sums(F, 300)
     reps = enumerate_unit_orbits(F, 300.0)
-    for m in reps:
-        nm = abs(m.norm())
-        divs = [abs(nu.norm()) for nu in reps
-                if nm % abs(nu.norm()) == 0 and divides(nu, m)]
-        g, q = _ideal_key(F, m)
-        assert tau[start[g] + q] == len(divs)
-        assert sig[start[g] + q] == pytest.approx(
-            math.fsum(1 / n for n in divs), rel=1e-15)
+    divs = [[abs(nu.norm()) for nu in reps
+             if abs(m.norm()) % abs(nu.norm()) == 0 and divides(nu, m)]
+            for m in reps]
+    keys = [_ideal_key(F, m) for m in reps]
+    for w, rel in ((0.0, 0.0), (-1.0, 1e-15), (-2.0, 1e-14), (-2.4, 1e-14),
+                   (-3.0, 1e-14)):
+        start, (sig,), _ = eta_engine._sigma_table(F, (w,), 300)
+        for (g, q), ns in zip(keys, divs):
+            assert sig[start[g] + q] == pytest.approx(
+                math.fsum(n ** w for n in ns), rel=rel)
 
 
 @pytest.mark.parametrize("D", [1, 2, 3, 5, 7, 13])
@@ -215,7 +220,7 @@ def test_ideal_counts_match_unit_orbits(D):
     # r(n) = sum_{d | n} chi(d) counts the principal ideals of norm n,
     # that is the unit-orbit representatives of norm +-n
     F = make_field(D)
-    r = eta_engine._ideal_sums(F, 500)[3]
+    r = eta_engine._sigma_table(F, (-1, 0), 500)[2]
     counts = np.bincount([abs(m.norm()) for m in enumerate_unit_orbits(
         F, 500.0)], minlength=501)
     assert (r[1:501] == counts[1:]).all()
@@ -224,19 +229,20 @@ def test_ideal_counts_match_unit_orbits(D):
 def test_ideal_table_grows_by_doubling(monkeypatch):
     # the table grows 40 -> 80 (twice its bound) -> 500; each state holds
     # the entries of a fresh build, and Omega does not depend on the state
-    monkeypatch.setattr(eta_engine, "_IDEAL_SUMS", {})
-    F = F7
+    monkeypatch.setattr(eta_engine, "_SIGMA", {})
+    F, ws = F7, (-1, 0)
+    key = (7, (-1.0, 0.0))
     z = (0.1 + 2.0j, 0.2 + 2.3j)        # norm cap 34
     first = omega(F, z, 1, FAST)
-    assert eta_engine._IDEAL_SUMS[7][0] == 34
-    monkeypatch.setattr(eta_engine, "_IDEAL_SUMS", {})
+    assert eta_engine._SIGMA[key][0] == 34
+    monkeypatch.setattr(eta_engine, "_SIGMA", {})
     reps = enumerate_unit_orbits(F, 500.0)
     for X, size in ((40, 40), (50, 80), (45, 80), (500, 500)):
-        start, sig, tau, r = eta_engine._ideal_sums(F, X)
-        assert eta_engine._IDEAL_SUMS[7][0] == size
+        start, (sig, tau), r = eta_engine._sigma_table(F, ws, X)
+        assert eta_engine._SIGMA[key][0] == size
         assert r.size == size + 1
-        monkeypatch.setattr(eta_engine, "_IDEAL_SUMS", {})
-        f_start, f_sig, f_tau, f_r = eta_engine._ideal_sums(F, size)
+        monkeypatch.setattr(eta_engine, "_SIGMA", {})
+        f_start, (f_sig, f_tau), f_r = eta_engine._sigma_table(F, ws, size)
         assert (r == f_r).all()
         for m in reps:
             if abs(m.norm()) <= size:

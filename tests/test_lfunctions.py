@@ -8,17 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hmsums import lfunctions, unit_domain
-from hmsums.field_arith import divides, make_field, matrix_S
+from hmsums.field_arith import make_field, matrix_S
 from hmsums.lfunctions import (InvalidInput, eis, eis_dz1, field_zeta,
                                geodesic_arc, geodesic_period, l_a,
                                l_a_deriv_report, period_defect,
                                period_integrand, period_rhs, volume)
 from hmsums.quasi_elliptic import NotQuasiElliptic, quasi_data
-from hmsums.unit_domain import (CapExceeded, TruncationParams,
-                                enumerate_module_orbits,
-                                enumerate_unit_orbits)
-from oracles import eis_direct, eis_per_mu
+from hmsums.unit_domain import CapExceeded, TruncationParams
+from oracles import _box, eis_direct, eis_per_mu, enumerate_module_orbits
 
 F1 = make_field(1)
 F7 = make_field(7)
@@ -168,7 +165,7 @@ def test_eis_mu_cap_raises():
     # just passes; one below it raises instead of truncating
     B, d = FAST.weight_bound, np.abs(F7.different.embeddings())
     M = [B * dk / (2 * math.pi * w.imag) for dk, w in zip(d, Z2)]
-    _, _, e1, e2, nrm = unit_domain._box(F7, *M, 10 ** 6)
+    _, _, e1, e2, nrm = _box(F7, *M, 10 ** 6)
     w = 2 * math.pi * (np.abs(e1) / d[0] * Z2[0].imag
                        + np.abs(e2) / d[1] * Z2[1].imag)
     top = int(np.abs(nrm[w <= B]).max())
@@ -178,26 +175,6 @@ def test_eis_mu_cap_raises():
         eis(F7, Z2, 2.0, FAST, mu_cap=top - 1)
     with pytest.raises(CapExceeded):
         eis_dz1(F1, (0.3 + 0.01j,), 2.0, 0, FAST, mu_cap=400)
-
-
-@pytest.mark.parametrize("D", [1, 2, 3, 5, 7, 13])
-def test_sigma_table_matches_ideal_divisor_sums(D):
-    # sigma_w((m)) = sum of N(b)^w over the ideals b | (m), by brute force
-    # over one generator per ideal (class number 1)
-    F = make_field(D)
-    reps = enumerate_unit_orbits(F, 300)
-    by_norm = {}
-    for b in reps:
-        by_norm.setdefault(abs(b.norm()), []).append(b)
-    for w in (-2.0, -2.4, -3.0):
-        start, sig = lfunctions._sigma_table(F, w, 300, 300)
-        for m in reps:
-            N = abs(m.norm())
-            g = 1 if F.n == 1 else math.gcd(m.a, m.b)
-            ref = math.fsum(k ** w * sum(divides(b, m) for b in bs)
-                            for k, bs in by_norm.items() if N % k == 0)
-            assert sig[start[g] + N // (g * g)] == pytest.approx(ref,
-                                                                 rel=1e-14)
 
 
 @pytest.mark.parametrize("D", [1, 2, 3, 5, 7, 13])
@@ -216,6 +193,15 @@ def test_field_zeta_closed_forms(D):
             for a in range(1, d)) / mpmath.mpf(d) ** 3
         ref = float(mpmath.zeta(3) * L)
     assert field_zeta(F, 3.0) == pytest.approx(ref, rel=1e-14)
+
+
+@pytest.mark.parametrize("field", [F1, F7])
+def test_field_zeta_rejects_w_at_most_one(field):
+    # the Hurwitz sum holds for w > 1 only; below it the sum is NaN
+    # (w = 0.5) or fails inside fsum (w = 1) for D = 7
+    for w in (1.0, 0.5, -1.0, math.nan):
+        with pytest.raises(InvalidInput):
+            field_zeta(field, w)
 
 
 @pytest.mark.parametrize("z,s", [((0.2 + 0.9j,), 2.0),

@@ -11,11 +11,11 @@ from hmsums import unit_domain
 from hmsums.field_arith import make_field
 from hmsums.quasi_elliptic import quasi_data
 from hmsums.unit_domain import (CapExceeded, InvalidInput, TruncationParams,
-                                enumerate_module_orbits, enumerate_tp_orbits,
-                                enumerate_unit_orbits, log_ratio,
-                                module_orbit_arrays, module_orbit_rep,
-                                tp_orbit_rep, unit_orbit_rep)
-from oracles import weighted_lattice
+                                module_orbit_arrays)
+from oracles import (_box, _eps_action, enumerate_module_orbits,
+                     enumerate_tp_orbits, enumerate_unit_orbits, log_ratio,
+                     module_orbit_rep, tp_orbit_rep, unit_orbit_rep,
+                     weighted_lattice)
 
 SUPPORTED = [2, 3, 5, 7, 13]
 
@@ -165,8 +165,8 @@ def _half_diamond_points(F, alpha, beta, sign, j, bound):
             for i, a, b in zip(*part)]
     brute = set()
     for i in range(alpha.size):
-        A, B, e1, e2, _ = unit_domain._box(F, bound / alpha[i],
-                                           bound / beta[i], 10 ** 7)
+        A, B, e1, e2, _ = _box(F, bound / alpha[i], bound / beta[i],
+                               10 ** 7)
         keep = (alpha[i] * np.abs(e1) + beta[i] * np.abs(e2) <= bound) \
             & (sign[i] * (e1 if j == 0 else e2) > 0)
         brute |= {(i, int(a), int(b)) for a, b in zip(A[keep], B[keep])}
@@ -202,8 +202,11 @@ def test_half_diamond_rows_match_brute_force(D, j, diamonds, bound):
 
 
 def test_truncation_params_validate():
-    with pytest.raises(InvalidInput):
-        TruncationParams(weight_bound=-1.0)
+    # a negative, infinite or NaN weight bound is rejected at construction,
+    # not by the series it would break
+    for bound in (-1.0, math.inf, math.nan):
+        with pytest.raises(InvalidInput):
+            TruncationParams(weight_bound=bound)
 
 
 # -- module orbits for quasi-elliptic data ------------------------------------
@@ -221,7 +224,6 @@ def test_module_orbits_empty_below_min_norm():
 
 
 def test_module_orbit_rep_invariant():
-    from hmsums.unit_domain import _eps_action
     qd = _a1_data()
     F = qd.field
     for m, n in enumerate_module_orbits(qd, 40.0):
