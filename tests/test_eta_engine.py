@@ -200,15 +200,14 @@ def test_ideal_divisor_sums_match_brute_force(D):
     # sigma_w((m)), the sum of N(b)^w over the ideals b | (m), for every
     # |N(m)| <= 300, against the divisors nu | m among the unit-orbit
     # representatives (one per ideal): tau = sigma_0 exactly, and sigma_-1,
-    # Omega's weight, rounded once
+    # Omega's weight, rounded once; test_lfunctions checks E_F's weights
     F = make_field(D)
     reps = enumerate_unit_orbits(F, 300.0)
     divs = [[abs(nu.norm()) for nu in reps
              if abs(m.norm()) % abs(nu.norm()) == 0 and divides(nu, m)]
             for m in reps]
     keys = [_ideal_key(F, m) for m in reps]
-    for w, rel in ((0.0, 0.0), (-1.0, 1e-15), (-2.0, 1e-14), (-2.4, 1e-14),
-                   (-3.0, 1e-14)):
+    for w, rel in ((0.0, 0.0), (-1.0, 1e-15)):
         start, (sig,), _ = eta_engine._sigma_table(F, (w,), 300)
         for (g, q), ns in zip(keys, divs):
             assert sig[start[g] + q] == pytest.approx(

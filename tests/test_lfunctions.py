@@ -8,14 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hmsums.field_arith import make_field, matrix_S
+from hmsums import lfunctions
+from hmsums.field_arith import divides, make_field, matrix_S
 from hmsums.lfunctions import (InvalidInput, eis, eis_dz1, field_zeta,
                                geodesic_arc, geodesic_period, l_a,
                                l_a_deriv_report, period_defect,
                                period_integrand, period_rhs, volume)
 from hmsums.quasi_elliptic import NotQuasiElliptic, quasi_data
 from hmsums.unit_domain import CapExceeded, TruncationParams
-from oracles import _box, eis_direct, eis_per_mu, enumerate_module_orbits
+from oracles import (_box, eis_direct, eis_per_mu, enumerate_module_orbits,
+                     enumerate_unit_orbits)
 
 F1 = make_field(1)
 F7 = make_field(7)
@@ -175,6 +177,27 @@ def test_eis_mu_cap_raises():
         eis(F7, Z2, 2.0, FAST, mu_cap=top - 1)
     with pytest.raises(CapExceeded):
         eis_dz1(F1, (0.3 + 0.01j,), 2.0, 0, FAST, mu_cap=400)
+
+
+@pytest.mark.parametrize("D", [1, 2, 3, 5, 7, 13])
+def test_sigma_table_matches_ideal_divisor_sums(D):
+    # sigma_w((m)) = sum of N(b)^w over the ideals b | (m) at the weights
+    # w = 1 - 2s that E_F reads, by brute force over one generator per
+    # ideal (class number 1)
+    F = make_field(D)
+    reps = enumerate_unit_orbits(F, 300)
+    by_norm = {}
+    for b in reps:
+        by_norm.setdefault(abs(b.norm()), []).append(b)
+    for w in (-2.0, -2.4, -3.0):
+        start, (sig,), _ = lfunctions._sigma_table(F, (w,), 300)
+        for m in reps:
+            N = abs(m.norm())
+            g = 1 if F.n == 1 else math.gcd(m.a, m.b)
+            ref = math.fsum(k ** w * sum(divides(b, m) for b in bs)
+                            for k, bs in by_norm.items() if N % k == 0)
+            assert sig[start[g] + N // (g * g)] == pytest.approx(ref,
+                                                                 rel=1e-14)
 
 
 @pytest.mark.parametrize("D", [1, 2, 3, 5, 7, 13])
