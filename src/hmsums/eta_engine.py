@@ -149,13 +149,13 @@ def _xi_chunks(field: FieldData, y, j: int, B: float, max_terms: int):
 
     The m form the half-diamond 2 pi (y_1|m_1/delta_1| + y_2|m_2/delta_2|)
     <= B, sign(delta_j) m_j > 0 (unit_domain._half_diamond_rows); over Q,
-    the row m = 1..floor(B/(2 pi y)), clamped at max_terms + 1.  Float tests
-    decide each term.  Raises CapExceeded, before expanding any point, for
-    more than max_terms candidates.
+    the row m = 1..floor(B/(2 pi y)) (Python floats: inf at tiny y), capped
+    at max_terms + 1.  Float tests decide each term.  Raises CapExceeded,
+    before expanding any point, for more than max_terms candidates.
     """
     d_embs = field.different.embeddings()
     if field.n == 1:
-        top = math.floor(min(B / (TWO_PI * y[0]), max_terms + 1))
+        top = math.floor(min(B / (TWO_PI * float(y[0])), max_terms + 1))
         rows = [np.array([v], dtype=np.int64) for v in (0, 0, 1, top)]
     else:
         scale = [[TWO_PI * yk / abs(dk)] for yk, dk in zip(y, d_embs)]
@@ -194,17 +194,17 @@ def omega(field: FieldData, z: tuple, j: int,
     CapExceeded for more candidates or pairs than max_terms.
     """
     z = check_uhp(field, z)
-    B, idx = trunc.weight_bound, field.unit_index
+    B, idx, cap = trunc.weight_bound, field.unit_index, trunc.max_terms
     x, y = [w.real for w in z], [w.imag for w in z]
-    X = math.floor(B / (TWO_PI * y[0]) if field.n == 1 else
+    X = math.floor(min(B / (TWO_PI * y[0]), cap + 1) if field.n == 1 else
                    (B / (4 * math.pi)) ** 2 * field.d_F / (y[0] * y[1]))
     total, n_terms = 0j, 0
-    for xi, w, g, nrm in _xi_chunks(field, y, j, B, trunc.max_terms):
+    for xi, w, g, nrm in _xi_chunks(field, y, j, B, cap):
         start, (sig, tau), _ = _sigma_table(field, (-1, 0),
                                             int(nrm.max(initial=X)))
         key = start[g] + nrm // (g * g)
         n_terms += idx * int(tau[key].sum())
-        if n_terms > trunc.max_terms:
+        if n_terms > cap:
             raise CapExceeded("series exceeds term cap")
         phase = TWO_PI * sum(xk * xr for xk, xr in zip(xi, x))
         total += complex(np.sum(sig[key] * np.exp(1j * phase - w)))

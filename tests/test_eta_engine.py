@@ -116,9 +116,11 @@ def test_omega_term_cap():
     z = (0.3 + 0.2j, 0.1 + 0.3j)
     with pytest.raises(CapExceeded, match="series exceeds term cap"):
         omega(F7, z, 0, TruncationParams(weight_bound=30.0, max_terms=32_300))
-    # over Q the row of 5.6e12 candidates is capped before it is allocated
-    with pytest.raises(CapExceeded, match="series exceeds term cap"):
-        omega(F1, (0.1 + 1e-12j,), 0)
+    # over Q the row of 5.6e12 candidates is capped before it is allocated,
+    # and an infinite one (B/(2 pi y) overflows) before any norm cap is cast
+    for y in (1e-12, 1e-320):
+        with pytest.raises(CapExceeded, match="series exceeds term cap"):
+            omega(F1, (complex(0.1, y),), 0)
 
 
 # Omega at B = 30 at a balanced, a low and a skewed point: the term counts,
@@ -199,19 +201,19 @@ def _ideal_key(F, m):
 def test_ideal_divisor_sums_match_brute_force(D):
     # sigma_w((m)), the sum of N(b)^w over the ideals b | (m), for every
     # |N(m)| <= 300, against the divisors nu | m among the unit-orbit
-    # representatives (one per ideal): tau = sigma_0 exactly, and sigma_-1,
-    # Omega's weight, rounded once; test_lfunctions checks E_F's weights
+    # representatives (one per ideal), in the joint (-1, 0) table Omega
+    # reads: tau = sigma_0 exactly, and sigma_-1 rounded once;
+    # test_lfunctions checks E_F's weights
     F = make_field(D)
     reps = enumerate_unit_orbits(F, 300.0)
-    divs = [[abs(nu.norm()) for nu in reps
-             if abs(m.norm()) % abs(nu.norm()) == 0 and divides(nu, m)]
-            for m in reps]
-    keys = [_ideal_key(F, m) for m in reps]
-    for w, rel in ((0.0, 0.0), (-1.0, 1e-15)):
-        start, (sig,), _ = eta_engine._sigma_table(F, (w,), 300)
-        for (g, q), ns in zip(keys, divs):
-            assert sig[start[g] + q] == pytest.approx(
-                math.fsum(n ** w for n in ns), rel=rel)
+    start, (sig, tau), _ = eta_engine._sigma_table(F, (-1, 0), 300)
+    for m in reps:
+        ns = [abs(nu.norm()) for nu in reps
+              if abs(m.norm()) % abs(nu.norm()) == 0 and divides(nu, m)]
+        g, q = _ideal_key(F, m)
+        assert tau[start[g] + q] == len(ns)
+        assert sig[start[g] + q] == pytest.approx(
+            math.fsum(1 / n for n in ns), rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("D", [1, 2, 3, 5, 7, 13])

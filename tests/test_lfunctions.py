@@ -177,6 +177,8 @@ def test_eis_mu_cap_raises():
         eis(F7, Z2, 2.0, FAST, mu_cap=top - 1)
     with pytest.raises(CapExceeded):
         eis_dz1(F1, (0.3 + 0.01j,), 2.0, 0, FAST, mu_cap=400)
+    with pytest.raises(CapExceeded):    # B/(2 pi y) overflows over Q
+        eis(F1, (0.1 + 1e-320j,), 2.0)
 
 
 @pytest.mark.parametrize("D", [1, 2, 3, 5, 7, 13])
