@@ -18,7 +18,8 @@ import time
 from fractions import Fraction
 
 from .dedekind_sums import hecke_defect, reciprocity_defect, sum_s
-from .eta_engine import apex_point, classical_dedekind_s, classical_phi_R, phi
+from .eta_engine import (apex_point, area_cocycle, classical_dedekind_s,
+                         classical_phi_R, phi)
 from .field_arith import FieldData, ModMatrix, make_field, matrix_S
 from .lfunctions import _special, l_a, period_defect
 from .quasi_elliptic import classify, psi
@@ -36,13 +37,19 @@ def _parse_json(text: str):
         raise UsageError(f"bad JSON literal {text!r}")
 
 
-def _parse_elem(field: FieldData, text: str):
-    v = _parse_json(text)
+def _elem(field: FieldData, v):
+    """The element of a parsed JSON literal: an int or [a] or [a, b]."""
     if isinstance(v, int):
         return field.elem(v)
-    if isinstance(v, list) and len(v) <= 2 and all(isinstance(c, int) for c in v):
+    if isinstance(v, list) and 1 <= len(v) <= 2 \
+            and all(isinstance(c, int) for c in v):
         return field.elem(*v)
-    raise UsageError(f"bad element literal {text!r}: want int or [a, b]")
+    raise UsageError(f"bad element literal {json.dumps(v)}: "
+                     f"want int or [a, b]")
+
+
+def _parse_elem(field: FieldData, text: str):
+    return _elem(field, _parse_json(text))
 
 
 def _parse_matrix(field: FieldData, text: str) -> ModMatrix:
@@ -50,14 +57,7 @@ def _parse_matrix(field: FieldData, text: str) -> ModMatrix:
     if not (isinstance(v, list) and len(v) == 2
             and all(isinstance(row, list) and len(row) == 2 for row in v)):
         raise UsageError(f"bad matrix literal {text!r}: want [[a,b],[c,d]]")
-
-    def elem(e):
-        if isinstance(e, int):
-            return field.elem(e)
-        if isinstance(e, list) and all(isinstance(c, int) for c in e):
-            return field.elem(*e)
-        raise UsageError(f"bad matrix entry {e!r}")
-    return field.matrix(elem(v[0][0]), elem(v[0][1]), elem(v[1][0]), elem(v[1][1]))
+    return field.matrix(*(_elem(field, e) for row in v for e in row))
 
 
 def _parse_point(field: FieldData, zs: list) -> tuple:
@@ -181,10 +181,8 @@ def _cmd_classical(args):
         worst = 0
         for _ in range(args.trials):
             A, B = _rand_matrix(F1, rng), _rand_matrix(F1, rng)
-            cs = A.c.a * B.c.a * (A * B).c.a
-            sgn = (1 if cs > 0 else -1) if cs else 0
             defect = classical_phi_R(A * B) - classical_phi_R(A) \
-                - classical_phi_R(B) + 3 * sgn
+                - classical_phi_R(B) - 3 * area_cocycle(A, B)
             worst = max(worst, abs(defect))
         ok &= worst == 0
         cases.append({"check": "rademacher-cocycle", "trials": args.trials,
@@ -215,11 +213,10 @@ def _cmd_verify(args):
                       for _ in range(F.n))
             j = rng.randrange(F.n)
             Bz = tuple(B.moebius(k, z[k]) for k in range(F.n))
-            sgn = (A.c * B.c * (A * B).c).sign_emb(j)
             defect = abs(phi(F, A * B, z=z, j=j, trunc=trunc)
                          - phi(F, A, z=Bz, j=j, trunc=trunc)
                          - phi(F, B, z=z, j=j, trunc=trunc)
-                         + 0.25 * sgn)
+                         - 0.25 * area_cocycle(A, B, j))
             inputs = {"A": repr(A), "B": repr(B), "j": j}
         elif args.what == "reciprocity":
             while True:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .field_arith import (FieldData, NotCoprime, OFElem, divide_exact,
                           divmod_near, ext_gcd, of_gcd, residues_mod)
-from .eta_engine import _insert, _y_rest, phi
+from .eta_engine import _apex, _insert, _y_rest, phi
 from .unit_domain import InvalidInput, TruncationParams
 
 
@@ -74,9 +74,7 @@ def sum_s(field: FieldData, d: OFElem, c: OFElem, z_hat: tuple, j: int = 0,
     a, b = ext_gcd(c, d)
     A = field.matrix(a, b, c, d)
     cj, dj = c.emb(j), d.emb(j)
-    zj = -dj / cj + 1j / abs(cj)
-    z = _insert(z_hat, j, zj)
-    p = phi(field, A, z=z, j=j, trunc=trunc)
+    p = phi(field, A, z=_insert(z_hat, j, _apex(c, d, j)), j=j, trunc=trunc)
     sgn = 1.0 if cj > 0 else -1.0
     return (-sgn * p + field.kappa / abs(cj)
             * (a.emb(j) * moebius_factor(c, d, z_hat, j)
@@ -114,13 +112,22 @@ def unit_scale(z_hat: tuple, eps: OFElem, j: int) -> tuple:
     return tuple(out)
 
 
+def _reciprocity_term(d: OFElem, c: OFElem, z_hat: tuple, j: int) -> float:
+    """T = [ d_j/c_j + (c_j/d_j) prod |z_k|^-2
+             + (1/(c_j d_j)) prod |c_k z_k + d_k|^-2 ] prod y_k,
+    the term kappa T of the reciprocity law."""
+    F = c.field
+    cj, dj = c.emb(j), d.emb(j)
+    return ((dj / cj) * _y_rest(z_hat)
+            + (cj / dj) * moebius_factor(F.one, F.zero, z_hat, j)
+            + (1 / (cj * dj)) * moebius_factor(c, d, z_hat, j))
+
+
 def reciprocity_rhs(field: FieldData, d: OFElem, c: OFElem, z_hat: tuple,
                     j: int = 0,
                     trunc: TruncationParams = TruncationParams()) -> float:
     """Right-hand side of the reciprocity law (requires c_j > 0, d_j > 0):
-
-    s(0,1;z_hat) - 1/4 + kappa [ d_j/c_j + (c_j/d_j) prod |z_k|^-2
-                  + (1/(c_j d_j)) prod |c_k z_k + d_k|^-2 ] prod y_k.
+    s(0,1;z_hat) - 1/4 + kappa T, T as in _reciprocity_term.
     """
     z_hat = check_zhat(field, z_hat, j)
     cj, dj = c.emb(j), d.emb(j)
@@ -128,9 +135,7 @@ def reciprocity_rhs(field: FieldData, d: OFElem, c: OFElem, z_hat: tuple,
         raise InvalidInput(f"reciprocity requires c_j > 0 and d_j > 0, "
                            f"got {cj}, {dj}")
     return (fundamental_s(field, z_hat, j, trunc) - 0.25
-            + field.kappa * ((dj / cj) * _y_rest(z_hat)
-                             + (cj / dj) * moebius_factor(field.one, field.zero, z_hat, j)
-                             + (1 / (cj * dj)) * moebius_factor(c, d, z_hat, j)))
+            + field.kappa * _reciprocity_term(d, c, z_hat, j))
 
 
 def reciprocity_defect(field: FieldData, d: OFElem, c: OFElem, z_hat: tuple,
@@ -217,12 +222,9 @@ def reduce_to_fundamental(field: FieldData, d: OFElem, c: OFElem,
             z_hat = neg_conj(z_hat)
             steps.append("negate d (conjugation identity, sign flip)")
         # Reciprocity: s(d,c;w) = s(0,1;w) - s(c,d;1/conj(w)) - 1/4 + kappa*T.
-        cj, dj = c.emb(j), d.emb(j)
-        T = ((dj / cj) * _y_rest(z_hat)
-             + (cj / dj) * moebius_factor(field.one, field.zero, z_hat, j)
-             + (1 / (cj * dj)) * moebius_factor(c, d, z_hat, j))
         terms.append((sign, z_hat))
-        const += sign * (-0.25 + field.kappa * T)
+        const += sign * (-0.25 + field.kappa
+                         * _reciprocity_term(d, c, z_hat, j))
         steps.append("reciprocity: emit fundamental term, swap pair")
         sign = -sign
         d, c = c, d

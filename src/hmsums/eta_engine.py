@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field_arith import FieldData, InvalidInput, ModMatrix, kronecker
+from .field_arith import FieldData, InvalidInput, ModMatrix, OFElem, kronecker
 from .unit_domain import (CapExceeded, TruncationParams, _expand_rows,
-                          _half_diamond_rows, _norms)
+                          _half_diamond_rows)
 
 TWO_PI = 2.0 * math.pi
 
@@ -150,8 +150,9 @@ def _xi_chunks(field: FieldData, y, j: int, B: float, max_terms: int):
     The m form the half-diamond 2 pi (y_1|m_1/delta_1| + y_2|m_2/delta_2|)
     <= B, sign(delta_j) m_j > 0 (unit_domain._half_diamond_rows); over Q,
     the row m = 1..floor(B/(2 pi y)) (Python floats: inf at tiny y), capped
-    at max_terms + 1.  Float tests decide each term.  Raises CapExceeded,
-    before expanding any point, for more than max_terms candidates.
+    at max_terms + 1.  Float tests decide each term.  Raises CapExceeded
+    when called, before any point is expanded, for more than max_terms rows
+    or candidates; the chunks come from the returned iterator.
     """
     d_embs = field.different.embeddings()
     if field.n == 1:
@@ -160,18 +161,21 @@ def _xi_chunks(field: FieldData, y, j: int, B: float, max_terms: int):
     else:
         scale = [[TWO_PI * yk / abs(dk)] for yk, dk in zip(y, d_embs)]
         rows = _half_diamond_rows(field.w_embs, *np.array(scale),
-                                  np.sign([d_embs[j]]), j, B)
+                                  np.sign([d_embs[j]]), j, B, max_terms)
     n_cand = int(np.maximum(rows[3] - rows[2] + 1, 0).sum())
     if n_cand > max_terms:
         raise CapExceeded(f"series exceeds term cap: {n_cand} candidates")
-    for _, a, b in _expand_rows(*rows):
-        xi = [(a + b * wk) / dk for wk, dk in zip(field.w_embs, d_embs)]
-        w = TWO_PI * sum(yk * np.abs(xk) for yk, xk in zip(y, xi))
-        keep = np.nonzero((w <= B) & (xi[j] > 0))[0]
-        a, b = a[keep], b[keep]
-        g, N = (1, a) if field.n == 1 else \
-            (np.gcd(a, b), np.abs(_norms(field, a, b)))
-        yield [xk[keep] for xk in xi], w[keep], g, N
+
+    def chunks():
+        for _, a, b in _expand_rows(*rows):
+            xi = [(a + b * wk) / dk for wk, dk in zip(field.w_embs, d_embs)]
+            w = TWO_PI * sum(yk * np.abs(xk) for yk, xk in zip(y, xi))
+            keep = np.nonzero((w <= B) & (xi[j] > 0))[0]
+            a, b = a[keep], b[keep]
+            g, N = (1, a) if field.n == 1 else \
+                (np.gcd(a, b), np.abs(field.norm(a, b)))
+            yield [xk[keep] for xk in xi], w[keep], g, N
+    return chunks()
 
 
 def omega(field: FieldData, z: tuple, j: int,
@@ -196,10 +200,12 @@ def omega(field: FieldData, z: tuple, j: int,
     z = check_uhp(field, z)
     B, idx, cap = trunc.weight_bound, field.unit_index, trunc.max_terms
     x, y = [w.real for w in z], [w.imag for w in z]
-    X = math.floor(min(B / (TWO_PI * y[0]), cap + 1) if field.n == 1 else
+    chunks = _xi_chunks(field, y, j, B, cap)
+    # the norm cap, finite once the candidates are within the cap
+    X = math.floor(B / (TWO_PI * y[0]) if field.n == 1 else
                    (B / (4 * math.pi)) ** 2 * field.d_F / (y[0] * y[1]))
     total, n_terms = 0j, 0
-    for xi, w, g, nrm in _xi_chunks(field, y, j, B, cap):
+    for xi, w, g, nrm in chunks:
         start, (sig, tau), _ = _sigma_table(field, (-1, 0),
                                             int(nrm.max(initial=X)))
         key = start[g] + nrm // (g * g)
@@ -267,11 +273,7 @@ def area_cocycle(A: ModMatrix, B: ModMatrix, j: int = 0) -> int:
 
         phi_j(AB, zh) = phi_j(A, B zh) + phi_j(B, zh) + (1/4) Delta(A, B).
     """
-    def sgn(e):
-        v = e.emb(j)
-        return 0 if v == 0 else (1 if v > 0 else -1)
-
-    return -(sgn(A.c) * sgn(B.c) * sgn((A * B).c))
+    return -(A.c * B.c * (A * B).c).sign_emb(j)
 
 
 def apex_point(field: FieldData, A: ModMatrix) -> tuple:
@@ -279,11 +281,13 @@ def apex_point(field: FieldData, A: ModMatrix) -> tuple:
     of the transformation defect vanishes exactly."""
     if not A.c:
         raise InvalidInput("the apex point requires c != 0")
-    pt = []
-    for k in range(field.n):
-        ck, dk = A.c.emb(k), A.d.emb(k)
-        pt.append(-dk / ck + 1j / abs(ck))
-    return tuple(pt)
+    return tuple(_apex(A.c, A.d, k) for k in range(field.n))
+
+
+def _apex(c: OFElem, d: OFElem, k: int) -> complex:
+    """The apex component -d_k/c_k + i/|c_k| (c != 0)."""
+    ck, dk = c.emb(k), d.emb(k)
+    return -dk / ck + 1j / abs(ck)
 
 
 def phi(field: FieldData, A: ModMatrix, z: tuple = None, j: int = 0,

@@ -55,12 +55,33 @@ class FieldData:
     zeta2: float                # zeta_F(2)
     kappa: float                # d_F zeta_F(2) / (2^n R_F pi^(n+1))
     euclid_steps: int           # norm-Euclidean step count k
-    # (t, p) with N(a + b w) = a^2 + t a b - p b^2 in degree 2
+    # (t, p) with w^2 = t w + p and t = 0 or 1, so that
+    # N(a + b w) = a^2 + t a b - p b^2 in degree 2
     norm_form: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "norm_form", (1, (self.D - 1) // 4)
                            if self.basis_half else (0, self.D))
+
+    # -- coordinate arithmetic ------------------------------------------------
+    # On coordinate pairs (a, b) = a + b w, as ints or as int64 or object
+    # arrays alike; a term of t costs no array pass when t = 0.
+
+    def mul(self, x: tuple, y: tuple) -> tuple:
+        """Coordinates (ac + p bd, ad + bc + t bd) of the product of
+        x = (a, b) and y = (c, d); over Q, b = d = 0."""
+        t, p = self.norm_form
+        (a, b), (c, d) = x, y
+        bd = b * d
+        ad_bc = a * d + b * c
+        return a * c + p * bd, (ad_bc + bd if t else ad_bc)
+
+    def norm(self, a, b):
+        """N(a + b w) = a^2 + t a b - p b^2; over Q, N(a) = a."""
+        if self.n == 1:
+            return a
+        t, p = self.norm_form
+        return (a * (a + b) if t else a * a) - p * b * b
 
     # -- element constructors -------------------------------------------------
 
@@ -91,15 +112,11 @@ class FieldData:
 
     @property
     def different(self) -> "OFElem":
-        # A generator of the different ideal; its norm is -d_F.
+        # A generator of the different ideal, 2w - t = w - conj(w); its norm
+        # is -d_F.
         if self.n == 1:
             return self.one
-        if self.basis_half:
-            return self.elem(-1, 2)     # sqrt(D) = 2w - 1
-        return self.elem(0, 2)          # 2 sqrt(D)
-
-    def sqrtD(self) -> float:
-        return math.sqrt(self.D)
+        return self.elem(-self.norm_form[0], 2)
 
     def matrix(self, a, b, c, d) -> "ModMatrix":
         def coerce(x):
@@ -143,14 +160,8 @@ class OFElem:
     def __mul__(self, y: "OFElem") -> "OFElem":
         assert self.field is y.field
         F = self.field
-        a, b, c, d = self.a, self.b, y.a, y.b
-        if F.n == 1:
-            return OFElem(a * c, 0, F)
-        if F.basis_half:
-            # w^2 = w + (D - 1)/4
-            m = (F.D - 1) // 4
-            return OFElem(a * c + b * d * m, a * d + b * c + b * d, F)
-        return OFElem(a * c + b * d * F.D, a * d + b * c, F)
+        a, b = F.mul((self.a, self.b), (y.a, y.b))
+        return OFElem(a, b, F)
 
     def __bool__(self) -> bool:
         return self.a != 0 or self.b != 0
@@ -165,28 +176,18 @@ class OFElem:
     # -- field-theoretic data -------------------------------------------------
 
     def conj(self) -> "OFElem":
+        # conj(w) = t - w
         F = self.field
-        if F.n == 1:
-            return self
-        if F.basis_half:
-            return OFElem(self.a + self.b, -self.b, F)
-        return OFElem(self.a, -self.b, F)
+        return OFElem(self.a + F.norm_form[0] * self.b, -self.b, F)
 
     def norm(self) -> int:
-        F = self.field
-        if F.n == 1:
-            return self.a
-        t, p = F.norm_form
-        a, b = self.a, self.b
-        return a * a + t * a * b - p * b * b
+        return self.field.norm(self.a, self.b)
 
     def trace(self) -> int:
         F = self.field
         if F.n == 1:
             return self.a
-        if F.basis_half:
-            return 2 * self.a + self.b
-        return 2 * self.a
+        return 2 * self.a + F.norm_form[0] * self.b
 
     def embeddings(self) -> tuple:
         F = self.field
@@ -202,9 +203,9 @@ class OFElem:
         F = self.field
         if F.n == 1:
             return (self.a > 0) - (self.a < 0)
-        # Value is (A + B sqrt(D))/2 with A = trace, B = +-coefficient.
+        # Value is (A + B sqrt(D))/2 with A = trace, B = +-(2 - t) b.
         A = self.trace()
-        B = 2 * self.b if not F.basis_half else self.b
+        B = (2 - F.norm_form[0]) * self.b
         if k == 1:
             B = -B
         if A == 0 and B == 0:

@@ -148,7 +148,8 @@ def _eis_core(field: FieldData, z: tuple, s: float, j: int, want_deriv: bool,
     2 pi |xi_j| times it with K_{nu+1} at j (K'_nu(x) = -K_{nu+1}(x) +
     (nu/x) K_nu(x), and 1/(2 y_j) from sqrt(N(y))), and s/y_j c_2s +
     (1-s)/y_j c_2s1.  Raises CapExceeded for more candidates than
-    trunc.max_terms, or for an |N(xi delta)| above mu_cap.
+    trunc.max_terms, or for an |N(xi delta)| above mu_cap, and InvalidInput
+    when a Bessel term |xi_k|^nu K_nu overflows (large s).
     """
     z, s = check_uhp(field, z), float(s)
     if not s >= 1.5:
@@ -163,13 +164,17 @@ def _eis_core(field: FieldData, z: tuple, s: float, j: int, want_deriv: bool,
         start, (sig,), _ = _sigma_table(field, (1 - 2 * s,), top, mu_cap)
         arg = TWO_PI * y[:, None] * np.abs(xi)       # 2 pi y_k |xi_k|
         base = sig[start[g] + nrm // (g * g)] * np.exp(1j * TWO_PI * (x @ xi))
-        factor = np.abs(xi) ** nu * _kv(nu, arg)
-        term = base * factor.prod(0)
-        total += term.sum()
-        if want_deriv:
-            d_x += np.sum(xi[j] * term)
-            factor[j] = np.abs(xi[j]) ** (nu + 1) * _kv(nu + 1, arg[j])
-            d_y += np.sum(base * factor.prod(0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            factor = np.abs(xi) ** nu * _kv(nu, arg)
+            term = base * factor.prod(0)
+            total += term.sum()
+            if want_deriv:
+                d_x += np.sum(xi[j] * term)
+                factor[j] = np.abs(xi[j]) ** (nu + 1) * _kv(nu + 1, arg[j])
+                d_y += np.sum(base * factor.prod(0))
+        if not np.isfinite((total, d_x, d_y)).all():
+            raise InvalidInput(f"the Bessel terms of E_F leave double range "
+                               f"at s = {s}")
     gamma = _special().gamma
     c_2s = ny ** s * field_zeta(field, 2 * s)
     c_2s1 = (math.sqrt(math.pi) * gamma(nu) / gamma(s)) ** n \

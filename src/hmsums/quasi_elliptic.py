@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field_arith import FieldData, InvalidInput, ModMatrix, OFElem, identity
-from .eta_engine import _insert, phi
+from .eta_engine import _apex, _insert, phi
 from .unit_domain import TruncationParams
 
 
@@ -191,9 +191,7 @@ def psi(field: FieldData, A: ModMatrix, j: int = None,
                for k in range(field.n) if k != j)
     if not A.c:
         raise NotClassifiable("no finite fixed point (c = 0)")
-    cj = A.c.emb(j)
-    zj = -A.d.emb(j) / cj + 1j / abs(cj)
-    p = phi(field, A, z=_insert(wc, j, zj), j=j, trunc=trunc)
+    p = phi(field, A, z=_insert(wc, j, _apex(A.c, A.d, j)), j=j, trunc=trunc)
     n, sct = field.n, _sign_c_tr(A, j)
     return (2 ** n) * field.R_F * p - 2 ** (n - 2) * field.R_F * sct
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field_arith import FieldData, InvalidInput
+from .field_arith import InvalidInput
 
 # Nudge for the floating-point window tests, so that elements landing exactly
 # on the window boundary (units themselves) are classified consistently.
@@ -61,13 +61,6 @@ class TruncationParams:
             raise InvalidInput(f"need a finite weight_bound > 0 and "
                                f"max_terms > 0, got {self.weight_bound}, "
                                f"{self.max_terms}")
-
-
-def _norms(field: FieldData, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Exact norms of a + b*w for int64 coordinate arrays."""
-    if field.basis_half:
-        return A * A + A * B - B * B * ((field.D - 1) // 4)
-    return A * A - B * B * field.D
 
 
 _NO_INTS = np.zeros(0, dtype=np.int64)
@@ -136,10 +129,13 @@ def _lattice_boxes(w: tuple, lo1, hi1, lo2, hi2, max_terms: int):
     yield from _expand_rows(owner, b, lo, hi)
 
 
-def _half_diamond_rows(w: tuple, alpha, beta, sign, j: int, bound: float):
+def _half_diamond_rows(w: tuple, alpha, beta, sign, j: int, bound: float,
+                       max_terms: int):
     """Rows (owner, b, lo, hi) for _expand_rows covering, for each i, the
     half-diamond alpha[i]|mu_1| + beta[i]|mu_2| <= bound, sign[i]*mu_j > 0
-    of the points mu = a + b*w (w as in _lattice_boxes).
+    of the points mu = a + b*w (w as in _lattice_boxes).  Raises
+    CapExceeded, before any row is built, for more than max_terms rows or
+    an infinite or undefined row count.
 
     The rows b lie between its three vertices, since mu_1 - mu_2 =
     b(w1 - w2); on each, |s a + u| <= bound, |d a + v| <= bound (s, d =
@@ -157,7 +153,10 @@ def _half_diamond_rows(w: tuple, alpha, beta, sign, j: int, bound: float):
     slack = 1e-9 * (np.abs(apex) + side) / span
     b_lo = np.ceil(np.minimum(apex, -side) / span - slack)
     nrow = np.maximum(np.floor(np.maximum(apex, side) / span + slack)
-                      - b_lo + 1, 0).astype(np.int64)
+                      - b_lo + 1, 0)
+    if not nrow.sum() <= max_terms:
+        raise CapExceeded(f"series exceeds term cap: {nrow.sum():.3g} rows")
+    nrow = nrow.astype(np.int64)
     owner = np.repeat(np.arange(nrow.size), nrow)
     b = _ragged_arange(b_lo.astype(np.int64), nrow)
     al, be, sg = (np.repeat(x, nrow) for x in (alpha, beta, sign))
@@ -218,36 +217,28 @@ def _rel_norms(data, ma, mb, na, nb) -> np.ndarray:
     """|N_F(c m^2 + (a-d) m n - b n^2)| = |N_F(c)| |N(m + n omega)| for
     coordinate arrays of m and n, in exact integer arithmetic.
 
-    Every product of two elements with coordinates at most K1 and K2 has
-    coordinates at most g*K1*K2, g = max(1 + q, 3) for w^2 = q (+ w), so the
-    relative norm has coordinates at most R = 3 g^2 C K^2 (C bounds the
-    matrix entries, K the inputs) and its norm at most (2 + q) R^2; each
-    stage runs in int64 only when its bound fits.
+    With w^2 = t w + p (FieldData.norm_form), every product of two elements
+    with coordinates at most K1 and K2 has coordinates at most g*K1*K2,
+    g = max(1 + p, 2 + t), so the relative norm has coordinates at most
+    R = 3 g^2 C K^2 (C bounds the matrix entries, K the inputs) and its
+    norm, x^2 + t x y - p y^2, at most (1 + t + p) R^2; each stage runs in
+    int64 only when its bound fits.
     """
     F, A = data.field, data.A
-    q = 0 if F.n == 1 else (F.D - 1) // 4 if F.basis_half else F.D
-    g = max(1 + q, 3)
-
-    def mul(x, y):
-        bd = x[1] * y[1]
-        return (x[0] * y[0] + q * bd,
-                x[0] * y[1] + x[1] * y[0] + (bd if F.basis_half else 0))
-
+    t, p = F.norm_form
+    g = max(1 + p, 2 + t)
     coef = [(e.a, e.b) for e in (A.c, A.a - A.d, A.b)]
     C = max(abs(v) for e in coef for v in e)
     K = max((int(np.abs(x).max()) for x in (ma, mb, na, nb) if x.size),
             default=0)
     ma, mb, na, nb = _exact((ma, mb, na, nb), 3 * g * g * C * K * K)
     m, n = (ma, mb), (na, nb)
-    t = [mul(coef[0], mul(m, m)), mul(coef[1], mul(m, n)),
-         mul(coef[2], mul(n, n))]
-    x, y = (t[0][k] + t[1][k] - t[2][k] for k in range(2))
-    if F.n == 1:
-        return np.abs(x)
+    terms = [F.mul(coef[0], F.mul(m, m)), F.mul(coef[1], F.mul(m, n)),
+             F.mul(coef[2], F.mul(n, n))]
+    x, y = (terms[0][k] + terms[1][k] - terms[2][k] for k in range(2))
     R = max((int(np.abs(v).max()) for v in (x, y) if v.size), default=0)
-    x, y = _exact((x, y), (2 + q) * R * R)
-    nrm = x * x - q * y * y + (x * y if F.basis_half else 0)
-    return np.abs(nrm)
+    x, y = _exact((x, y), (1 + t + p) * R * R)
+    return np.abs(F.norm(x, y))
 
 
 def _cell_edges(lo: float, hi: float) -> np.ndarray:

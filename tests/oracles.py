@@ -28,7 +28,7 @@ from scipy.special import gamma, kv
 from hmsums.field_arith import (FieldData, InvalidInput, OFElem,
                                 exact_quotient)
 from hmsums.unit_domain import (_EDGE, CapExceeded, _expand_rows,
-                                _lattice_boxes, _norms, _ragged_arange,
+                                _lattice_boxes, _ragged_arange,
                                 module_orbit_arrays)
 
 TWO_PI = 2.0 * math.pi
@@ -269,7 +269,7 @@ def _box(field: FieldData, M1: float, M2: float, max_terms: int) -> tuple:
                           f"cap {max_terms}")
     B = np.repeat(b, cnt)
     A = _ragged_arange(lo, cnt)
-    return A, B, A + B * w1, A + B * w2, _norms(field, A, B)
+    return A, B, A + B * w1, A + B * w2, field.norm(A, B)
 
 
 def _in_window(e1, e2, nrm, X: int, W: float) -> np.ndarray:

@@ -22,6 +22,11 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert run(["sum", "--d", "7", "--dnum", "[1,0]", "--c", "oops"]) == 2
     capsys.readouterr()
+    # element literals have one or two coordinates, in matrices too
+    assert run(["sum", "--d", "7", "--dnum", "[1,0]", "--c", "[]"]) == 2
+    capsys.readouterr()
+    assert run(["phi", "--d", "7", "--matrix", "[[1,0],[[1,2,3],1]]"]) == 2
+    capsys.readouterr()
 
 
 def test_classical_recip_example(capsys):

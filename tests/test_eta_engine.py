@@ -121,6 +121,11 @@ def test_omega_term_cap():
     for y in (1e-12, 1e-320):
         with pytest.raises(CapExceeded, match="series exceeds term cap"):
             omega(F1, (complex(0.1, y),), 0)
+    # in degree 2 the half-diamond's rows are capped before they are built,
+    # and before the norm cap X (inf at 1e-160) is cast
+    for y in (1e-12, 1e-160):
+        with pytest.raises(CapExceeded, match="series exceeds term cap"):
+            omega(F7, (complex(0.1, y), complex(0.2, y)), 0)
 
 
 # Omega at B = 30 at a balanced, a low and a skewed point: the term counts,
@@ -352,6 +357,11 @@ def test_area_cocycle_exact_values():
     for j in (0, 1):
         sgn = (A_MAIN.c * B.c * (A_MAIN * B).c).sign_emb(j)
         assert area_cocycle(A_MAIN, B, j) == -sgn
+    # u = eps^-12 is about 4e-15 at the first embedding, where its float
+    # image a + b w rounds to 0.0; c'' = 2u, so Delta = -sign(u_j)
+    u = F7.eps_fund.pow(-12)
+    L7 = F7.matrix(1, 0, u, 1)
+    assert (area_cocycle(L7, L7, 0), area_cocycle(L7, L7, 1)) == (-1, -1)
 
 
 def test_worked_invariant_value():

@@ -179,6 +179,11 @@ def test_eis_mu_cap_raises():
         eis_dz1(F1, (0.3 + 0.01j,), 2.0, 0, FAST, mu_cap=400)
     with pytest.raises(CapExceeded):    # B/(2 pi y) overflows over Q
         eis(F1, (0.1 + 1e-320j,), 2.0)
+    # in degree 2 the half-diamond's row count is capped before its rows
+    # are built: 1.1e13 rows at y = 1e-12, 1.1e161 at 1e-160
+    for y in (1e-12, 1e-160):
+        with pytest.raises(CapExceeded):
+            eis(F7, (complex(0.1, y), complex(0.2, y)), 2.0)
 
 
 @pytest.mark.parametrize("D", [1, 2, 3, 5, 7, 13])
@@ -229,10 +234,13 @@ def test_field_zeta_rejects_w_at_most_one(field):
             field_zeta(field, w)
 
 
+# the last two: the Bessel terms |xi_k|^nu K_nu leave double range
 @pytest.mark.parametrize("z,s", [((0.2 + 0.9j,), 2.0),
                                  ((0.2 + 0.9j, -0.3 - 1.2j), 2.0),
                                  ((0.2 + 0.9j, -0.3), 2.0),
-                                 (Z2, 1.2)])
+                                 (Z2, 1.2),
+                                 ((0.1 + 0.3j, 0.2 + 0.4j), 100.0),
+                                 (Z2, 160.0)])
 def test_eis_rejects_bad_input(z, s):
     with pytest.raises(InvalidInput):
         eis(F7, z, s, FAST)

@@ -159,7 +159,7 @@ def _half_diamond_points(F, alpha, beta, sign, j, bound):
     force: the whole box |mu_1| <= bound/alpha, |mu_2| <= bound/beta with
     the weight and sign tests."""
     rows = unit_domain._half_diamond_rows(F.w_embs, alpha, beta, sign, j,
-                                          bound)
+                                          bound, 10 ** 6)
     cand = [(int(i), int(a), int(b))
             for part in unit_domain._expand_rows(*rows)
             for i, a, b in zip(*part)]
