@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import sys
 import time
@@ -76,12 +75,6 @@ def _parse_point(field: FieldData, zs: list) -> tuple:
 def _trunc(args) -> TruncationParams:
     return TruncationParams(weight_bound=args.weight_bound,
                             max_terms=args.max_terms)
-
-
-def _default_tol(args) -> float:
-    if args.tol is not None:
-        return args.tol
-    return float(os.environ.get("HMSUMS_TOL", "1e-6"))
 
 
 def _rand_matrix(field: FieldData, rng: random.Random,
@@ -153,7 +146,8 @@ def _cmd_theorem5(args):
     A = _parse_matrix(F, args.matrix)
     defect, budget, per, _ = period_defect(
         A, args.s, norm_bound=args.norm_bound, m=args.quad_order,
-        trunc=_trunc(args), tol=_default_tol(args), mu_cap=args.mu_cap)
+        trunc=_trunc(args), tol=1e-6 if args.tol is None else args.tol,
+        mu_cap=args.mu_cap)
     ok = bool(defect <= budget)
     return {"value_re": float(per.real), "value_im": float(per.imag),
             "defect": float(defect), "budget": float(budget),
@@ -193,14 +187,19 @@ def _cmd_classical(args):
 
 
 _VERIFY_TOLS = {"cocycle": 1e-6, "reciprocity": 1e-6, "hecke": 1e-5}
+# D -> the totally positive primes of the hecke campaign, as element literals:
+# a split, an inert and, where one has a totally positive generator, a
+# ramified prime of F (2 and 3 over Q)
+_HECKE_PRIMES = {1: (2, 3), 2: ([3, 1], 3, [2, 1]), 3: ([4, 1], 5),
+                 5: ([4, 1], 2, [2, 1]), 7: ([6, 1], 5, [3, 1]),
+                 13: ([4, 1], 2, [5, 3])}
 
 
 def _cmd_verify(args):
     F = make_field(args.d)
     rng = random.Random(args.seed)
     trunc = _trunc(args)
-    tol = args.tol if args.tol is not None else float(
-        os.environ.get("HMSUMS_TOL", str(_VERIFY_TOLS[args.what])))
+    tol = _VERIFY_TOLS[args.what] if args.tol is None else args.tol
     cases = []
     for trial in range(args.trials):
         if args.what == "cocycle":
@@ -227,15 +226,18 @@ def _cmd_verify(args):
             z = _rand_zhat(F, rng)
             defect = abs(reciprocity_defect(F, d, c, z, 0, trunc))
             inputs = {"c": repr(c), "d": repr(d)}
-        else:  # hecke
-            p = F.elem(3, 1) if F.n == 2 else F.elem(2)
+        else:  # hecke, one case per prime
             while True:
                 A = _rand_matrix(F, rng)
                 if A.c:
                     break
             z = _rand_zhat(F, rng)
-            defect = abs(hecke_defect(F, A.d, A.c, z, p, 0, trunc))
-            inputs = {"c": repr(A.c), "d": repr(A.d), "p": repr(p)}
+            for p in (_elem(F, v) for v in _HECKE_PRIMES[args.d]):
+                defect = abs(hecke_defect(F, A.d, A.c, z, p, 0, trunc))
+                inputs = {"c": repr(A.c), "d": repr(A.d), "p": repr(p)}
+                cases.append({"trial": trial, "inputs": inputs,
+                              "defect": defect})
+            continue
         cases.append({"trial": trial, "inputs": inputs, "defect": defect})
     worst = max(c["defect"] for c in cases)
     return {"cases": cases, "tol": tol}, worst <= tol

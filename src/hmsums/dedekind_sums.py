@@ -21,13 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .field_arith import (FieldData, NotCoprime, OFElem, divide_exact,
-                          divmod_near, ext_gcd, of_gcd, residues_mod)
-from .eta_engine import _apex, _insert, _y_rest, phi
+                          divmod_near, ext_gcd, kronecker, of_gcd,
+                          residues_mod)
+from .eta_engine import (_apex, _insert, _off_indices, _prime_powers, _y_rest,
+                         phi)
 from .unit_domain import InvalidInput, TruncationParams
-
-
-def _off_indices(n: int, j: int):
-    return [k for k in range(n) if k != j]
 
 
 def check_zhat(field: FieldData, z_hat: tuple, j: int) -> tuple:
@@ -155,13 +153,11 @@ class ReductionScript:
 
     The original sum equals
         sum of sign_i * s_j(0, 1; point_i)  +  constant,
-    with each point an explicit transform of the input z_hat.  The steps list
-    records the identity applied at each stage.
+    with each point an explicit transform of the input z_hat.
     """
 
     terms: tuple                # tuple of (sign, z_hat tuple)
     constant: float
-    steps: tuple
     j: int
 
     def eval(self, field: FieldData,
@@ -188,31 +184,24 @@ def reduce_to_fundamental(field: FieldData, d: OFElem, c: OFElem,
     sign = 1.0
     const = 0.0
     terms = []
-    steps = []
-    guard = 16 * field.euclid_steps * (abs(c.norm()) + 2)
+    guard = 16 * (abs(c.norm()) + 2)
     for _ in range(guard):
         if abs(c.norm()) == 1:
             # s(d, eps; .) with eps a unit: translate d away, rescale to 1.
             q = d * c.inv_unit()
             z_hat = translate(z_hat, q, j)
-            steps.append(f"translate by {q}")
             eps = c
             if eps.sign_emb(j) < 0:
                 eps = -eps
                 z_hat = neg_conj(z_hat)
-                steps.append("negate c (conjugation identity)")
             z_hat = unit_scale(z_hat, eps, j)
-            steps.append(f"unit rescale by {eps}")
             terms.append((sign, z_hat))
-            return ReductionScript(tuple(terms), const, tuple(steps), j)
-        q, r = divmod_near(d, c)
+            return ReductionScript(tuple(terms), const, j)
+        q, d = divmod_near(d, c)
         z_hat = translate(z_hat, q, j)
-        steps.append(f"divide: q={q}, r={r}; translate by {q}")
-        d = r
         if c.sign_emb(j) < 0:
             c = -c
             z_hat = neg_conj(z_hat)
-            steps.append("negate c (conjugation identity)")
         if not d:
             # d = 0 with c non-unit cannot occur for coprime input.
             raise NotCoprime("inputs were not coprime")
@@ -220,12 +209,10 @@ def reduce_to_fundamental(field: FieldData, d: OFElem, c: OFElem,
             d = -d
             sign = -sign
             z_hat = neg_conj(z_hat)
-            steps.append("negate d (conjugation identity, sign flip)")
         # Reciprocity: s(d,c;w) = s(0,1;w) - s(c,d;1/conj(w)) - 1/4 + kappa*T.
         terms.append((sign, z_hat))
         const += sign * (-0.25 + field.kappa
                          * _reciprocity_term(d, c, z_hat, j))
-        steps.append("reciprocity: emit fundamental term, swap pair")
         sign = -sign
         d, c = c, d
         z_hat = inv_conj(z_hat)
@@ -234,10 +221,21 @@ def reduce_to_fundamental(field: FieldData, d: OFElem, c: OFElem,
 
 # -- Hecke operators ----------------------------------------------------------
 
+def _is_prime(p: OFElem) -> bool:
+    """True when (p) is a prime ideal: |N(p)| is a rational prime q, or q^2
+    with q inert in F (chi_{d_F}(q) = -1; never over Q)."""
+    factors = list(_prime_powers(abs(p.norm())))
+    if len(factors) != 1:
+        return False
+    q, k = factors[0]
+    return k == 1 or k == 2 and kronecker(p.field.d_F, q) == -1
+
+
 def hecke_transform(field: FieldData, d: OFElem, c: OFElem, z_hat: tuple,
                     p: OFElem, j: int = 0,
                     trunc: TruncationParams = TruncationParams()) -> float:
-    """(s_j | T_p)(d, c; z_hat) for a totally positive prime p:
+    """(s_j | T_p)(d, c; z_hat) for a totally positive prime p (InvalidInput
+    otherwise):
 
     s_j(dp, c; p.z_hat) + sum_{r mod p} s_j(d - cr, cp; (z_hat + r)/p).
 
@@ -245,8 +243,8 @@ def hecke_transform(field: FieldData, d: OFElem, c: OFElem, z_hat: tuple,
     come from the same translate of the full evaluation point, whose
     distinguished component carries -d_j/c_j.
     """
-    if not p.is_totally_positive():
-        raise InvalidInput(f"the Hecke operator needs p >> 0, got {p}")
+    if not (p.is_totally_positive() and _is_prime(p)):
+        raise InvalidInput(f"the Hecke operator needs a prime p >> 0, got {p}")
     z_hat = check_zhat(field, z_hat, j)
     idx = _off_indices(field.n, j)
     out = sum_s(field, d * p, c,

@@ -52,6 +52,11 @@ def _insert(z_hat: tuple, j: int, zj: complex) -> tuple:
     return z_hat[:j] + (zj,) + z_hat[j:]
 
 
+def _off_indices(n: int, j: int) -> list:
+    """The embedding indices k != j of the off-components, in order."""
+    return [k for k in range(n) if k != j]
+
+
 def _y_rest(z_hat: tuple) -> float:
     """prod_{k != j} y_k: the product of the heights of the off-components."""
     return math.prod(w.imag for w in z_hat)
@@ -311,17 +316,6 @@ def phi(field: FieldData, A: ModMatrix, z: tuple = None, j: int = 0,
 
 
 # -- degree-1 closed forms ----------------------------------------------------
-
-def classical_ln_eta(z: complex, terms: int = 400) -> complex:
-    """ln eta(z) by the q-product, principal branches (Im z > 0)."""
-    if not z.imag > 0:
-        raise InvalidInput(f"need Im z > 0, got {z}")
-    q = cmath.exp(2j * math.pi * z)
-    s = 1j * math.pi * z / 12
-    for m in range(1, terms + 1):
-        s += cmath.log(1 - q ** m)
-    return s
-
 
 def classical_dedekind_s(d: int, c: int):
     """Classical Dedekind sum s(d, c) as an exact Fraction (c > 0).

@@ -7,15 +7,14 @@ whole machinery for F = Q (degree 1): elements collapse to plain integers and
 the analytic constants are fixed so that the series engine reproduces the
 classical Dedekind eta function.
 
-Only fields of known class number 1 with a known norm-Euclidean step count are
-supported, since the reduction algorithm for generalized Dedekind sums relies
-on both facts.
+Only norm-Euclidean fields of class number 1 are supported, since the
+reduction algorithm for generalized Dedekind sums relies on both facts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -30,14 +29,8 @@ class NotCoprime(InvalidInput):
     pass
 
 
-# D -> (fundamental unit coordinates (a, b) on {1, w}, Euclidean step count k)
-_FIELD_TABLE = {
-    2: ((1, 1), 1),
-    3: ((2, 1), 1),
-    5: ((0, 1), 1),
-    7: ((8, 3), 1),
-    13: ((1, 1), 1),
-}
+# D -> fundamental unit coordinates (a, b) on {1, w}
+_FIELD_TABLE = {2: (1, 1), 3: (2, 1), 5: (0, 1), 7: (8, 3), 13: (1, 1)}
 
 
 @dataclass(frozen=True)
@@ -47,21 +40,14 @@ class FieldData:
     D: int
     n: int                      # degree: 1 or 2
     d_F: int                    # discriminant
-    basis_half: bool            # True when w = (1 + sqrt(D))/2
+    # (t, p) with w^2 = t w + p, t = 1 when w = (1 + sqrt(D))/2 and 0 when
+    # w = sqrt(D), so that N(a + b w) = a^2 + t a b - p b^2 in degree 2
+    norm_form: tuple
     w_embs: tuple               # real embeddings of w
     eps_coords: tuple           # fundamental unit, coordinates on {1, w}
     R_F: float                  # regulator (log of the unit's first embedding)
     unit_index: int             # [U_F : U_F^+]
-    zeta2: float                # zeta_F(2)
     kappa: float                # d_F zeta_F(2) / (2^n R_F pi^(n+1))
-    euclid_steps: int           # norm-Euclidean step count k
-    # (t, p) with w^2 = t w + p and t = 0 or 1, so that
-    # N(a + b w) = a^2 + t a b - p b^2 in degree 2
-    norm_form: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "norm_form", (1, (self.D - 1) // 4)
-                           if self.basis_half else (0, self.D))
 
     # -- coordinate arithmetic ------------------------------------------------
     # On coordinate pairs (a, b) = a + b w, as ints or as int64 or object
@@ -101,16 +87,6 @@ class FieldData:
         return self.elem(*self.eps_coords)
 
     @property
-    def tp_unit(self) -> "OFElem":
-        """Generator of the totally positive units U_F^+ (with embedding > 1)."""
-        e = self.eps_fund
-        return e if e.norm() == 1 else e * e
-
-    @property
-    def log_eta1(self) -> float:
-        return math.log(self.tp_unit.embeddings()[0])
-
-    @property
     def different(self) -> "OFElem":
         # A generator of the different ideal, 2w - t = w - conj(w); its norm
         # is -d_F.
@@ -147,18 +123,21 @@ class OFElem:
     # -- ring operations ------------------------------------------------------
 
     def __add__(self, y: "OFElem") -> "OFElem":
-        assert self.field is y.field
+        if self.field is not y.field:
+            raise InvalidInput(f"{self} and {y} lie in different fields")
         return OFElem(self.a + y.a, self.b + y.b, self.field)
 
     def __sub__(self, y: "OFElem") -> "OFElem":
-        assert self.field is y.field
+        if self.field is not y.field:
+            raise InvalidInput(f"{self} and {y} lie in different fields")
         return OFElem(self.a - y.a, self.b - y.b, self.field)
 
     def __neg__(self) -> "OFElem":
         return OFElem(-self.a, -self.b, self.field)
 
     def __mul__(self, y: "OFElem") -> "OFElem":
-        assert self.field is y.field
+        if self.field is not y.field:
+            raise InvalidInput(f"{self} and {y} lie in different fields")
         F = self.field
         a, b = F.mul((self.a, self.b), (y.a, y.b))
         return OFElem(a, b, F)
@@ -226,7 +205,8 @@ class OFElem:
 
     def inv_unit(self) -> "OFElem":
         """Exact inverse of a unit."""
-        assert abs(self.norm()) == 1
+        if abs(self.norm()) != 1:
+            raise InvalidInput(f"{self} is not a unit")
         c = self.conj()
         m = (self * c).a        # = +-1
         return c if m == 1 else -c
@@ -242,7 +222,7 @@ class OFElem:
         F = self.field
         if F.n == 1:
             return str(self.a)
-        w = "((1+√%d)/2)" % F.D if F.basis_half else "√%d" % F.D
+        w = "((1+√%d)/2)" % F.D if F.norm_form[0] else "√%d" % F.D
         return f"({self.a}+{self.b}{w})"
 
 
@@ -290,39 +270,25 @@ def make_field(D: int) -> FieldData:
     if D == 1:
         # Degree-1 mode: constants fixed so the series engine's
         # Lambda(z) = i*pi*kappa*z - (sqrt(d_F)/2R) * Omega(z) equals ln(eta).
-        return FieldData(
-            D=1, n=1, d_F=1, basis_half=False, w_embs=(0.0,),
-            eps_coords=(1, 0), R_F=0.5, unit_index=2,
-            zeta2=math.pi ** 2 / 6, kappa=1.0 / 12.0, euclid_steps=1)
+        return FieldData(D=1, n=1, d_F=1, norm_form=(0, 1), w_embs=(0.0,),
+                         eps_coords=(1, 0), R_F=0.5, unit_index=2,
+                         kappa=1.0 / 12.0)
     if D not in _FIELD_TABLE:
         raise ValueError(f"unsupported field D={D}: class number unverified")
-    for p in (2, 3, 5, 7, 11):
-        if D % (p * p) == 0:
-            raise ValueError(f"D={D} is not squarefree")
-    eps_coords, k_steps = _FIELD_TABLE[D]
-    basis_half = D % 4 == 1
-    d_F = D if basis_half else 4 * D
+    a, b = _FIELD_TABLE[D]
+    t, p = (1, (D - 1) // 4) if D % 4 == 1 else (0, D)
+    d_F = D if t else 4 * D
     s = math.sqrt(D)
-    w_embs = ((1 + s) / 2, (1 - s) / 2) if basis_half else (s, -s)
-
-    # Need a provisional field object to do element arithmetic on the unit.
-    fd = FieldData(D=D, n=2, d_F=d_F, basis_half=basis_half, w_embs=w_embs,
-                   eps_coords=eps_coords, R_F=0.0, unit_index=0,
-                   zeta2=0.0, kappa=0.0, euclid_steps=k_steps)
-    eps = fd.eps_fund
-    assert abs(eps.norm()) == 1
-    e1 = eps.embeddings()[0]
-    assert e1 > 1
-    R_F = math.log(e1)
-    unit_index = 2 if eps.norm() == 1 else 4
+    w_embs = ((1 + s) / 2, (1 - s) / 2) if t else (s, -s)
+    R_F = math.log(a + b * w_embs[0])
+    # the table's units have norm +-1 and first embedding > 1
+    unit_index = 2 if a * a + t * a * b - p * b * b == 1 else 4
     # functional equation: zeta_F(2) = 4 pi^4 zeta_F(-1) / d_F^(3/2), so
     # kappa = d_F zeta_F(2) / (4 R_F pi^3) = pi zeta_F(-1) / (sqrt(d_F) R_F)
-    z = float(_zeta_minus_one(d_F))
-    zeta2 = 4 * math.pi ** 4 * z / d_F ** 1.5
-    kappa = math.pi * z / (math.sqrt(d_F) * R_F)
-    return FieldData(D=D, n=2, d_F=d_F, basis_half=basis_half, w_embs=w_embs,
-                     eps_coords=eps_coords, R_F=R_F, unit_index=unit_index,
-                     zeta2=zeta2, kappa=kappa, euclid_steps=k_steps)
+    kappa = math.pi * float(_zeta_minus_one(d_F)) / (math.sqrt(d_F) * R_F)
+    return FieldData(D=D, n=2, d_F=d_F, norm_form=(t, p), w_embs=w_embs,
+                     eps_coords=(a, b), R_F=R_F, unit_index=unit_index,
+                     kappa=kappa)
 
 
 @dataclass(frozen=True)
@@ -431,7 +397,7 @@ def gcd_chain(c: OFElem, d: OFElem) -> tuple:
     # Invariants: x = sx*c + tx*d, y = sy*c + ty*d.
     x, sx, tx = d, F.zero, F.one
     y, sy, ty = c, F.one, F.zero
-    cap = max(8, 4 * F.euclid_steps * (abs(c.norm()) + abs(d.norm())).bit_length() * 8)
+    cap = max(8, 4 * (abs(c.norm()) + abs(d.norm())).bit_length() * 8)
     steps = 0
     while y:
         q, r = divmod_near(x, y)
@@ -457,12 +423,6 @@ def of_gcd(c: OFElem, d: OFElem) -> OFElem:
     return g
 
 
-def divides(y: OFElem, x: OFElem) -> bool:
-    """True when y exactly divides x in O_F."""
-    qa, qb = exact_quotient(x, y)
-    return qa.denominator == 1 and qb.denominator == 1
-
-
 def residues_mod(p: OFElem) -> list:
     """A transversal of O_F / (p), of size |N(p)|.
 
@@ -472,7 +432,8 @@ def residues_mod(p: OFElem) -> list:
     """
     F = p.field
     n = abs(p.norm())
-    assert n > 0
+    if not n:
+        raise InvalidInput("no residues modulo zero")
     if F.n == 1:
         return [F.elem(r) for r in range(n)]
     pw = p * F.elem(0, 1)
@@ -483,7 +444,8 @@ def residues_mod(p: OFElem) -> list:
         c1 = [c1[0] - q * c2[0], c1[1] - q * c2[1]]
         c1, c2 = c2, c1
     h11, h22 = abs(c1[0]), abs(c2[1])
-    assert h11 * h22 == n
+    if h11 * h22 != n:
+        raise ArithmeticError(f"Hermite form of ({p}) has the wrong index")
     return [F.elem(i, j) for i in range(h11) for j in range(h22)]
 
 

@@ -42,6 +42,7 @@ and sigma_w come from eta_engine, whose Omega is the same sum at w = -1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -119,13 +120,16 @@ def l_a(A: ModMatrix, s: complex, norm_bound: float = 2000.0,
 def field_zeta(field: FieldData, w: float) -> float:
     """zeta_F(w) for real w > 1: zeta(w) L(w, chi) with chi = chi_{d_F} and
     L(w, chi) = d_F^-w sum_{a < d_F} chi(a) zeta(w, a/d_F) (Hurwitz zeta);
-    zeta(w) over Q."""
+    zeta(w) over Q.  Raises InvalidInput where zeta(w, 1/d_F) > d_F^w leaves
+    double range."""
     if not w > 1:
         raise InvalidInput(f"zeta_F is evaluated for real w > 1, got {w}")
     zeta = _special().zeta
     if field.n == 1:
         return float(zeta(w))
     d = field.d_F
+    if w * math.log(d) > math.log(sys.float_info.max):
+        raise InvalidInput(f"the Hurwitz terms of zeta_F({w}) overflow")
     return float(zeta(w)) * d ** -w * math.fsum(
         kronecker(d, a) * zeta(w, a / d) for a in range(1, d))
 
@@ -149,7 +153,8 @@ def _eis_core(field: FieldData, z: tuple, s: float, j: int, want_deriv: bool,
     (nu/x) K_nu(x), and 1/(2 y_j) from sqrt(N(y))), and s/y_j c_2s +
     (1-s)/y_j c_2s1.  Raises CapExceeded for more candidates than
     trunc.max_terms, or for an |N(xi delta)| above mu_cap, and InvalidInput
-    when a Bessel term |xi_k|^nu K_nu overflows (large s).
+    when a Bessel term |xi_k|^nu K_nu, N(y)^s, N(y)^(1-s), Gamma(s) or
+    zeta_F(2s) leaves double range (large s).
     """
     z, s = check_uhp(field, z), float(s)
     if not s >= 1.5:
@@ -176,10 +181,15 @@ def _eis_core(field: FieldData, z: tuple, s: float, j: int, want_deriv: bool,
             raise InvalidInput(f"the Bessel terms of E_F leave double range "
                                f"at s = {s}")
     gamma = _special().gamma
-    c_2s = ny ** s * field_zeta(field, 2 * s)
-    c_2s1 = (math.sqrt(math.pi) * gamma(nu) / gamma(s)) ** n \
-        * ny ** (1 - s) * field_zeta(field, 2 * s - 1) / math.sqrt(field.d_F)
-    pref = 2 * (2 * math.pi ** s / gamma(s)) ** n * math.sqrt(ny / field.d_F)
+    with np.errstate(over="ignore"):
+        g_s, y_s, y_1s = gamma(s), ny ** s, ny ** (1 - s)
+    if not all(map(math.isfinite, (g_s, y_s, y_1s))):
+        raise InvalidInput(f"N(y)^s, N(y)^(1-s) or Gamma(s) of E_F leaves "
+                           f"double range at s = {s}")
+    c_2s = y_s * field_zeta(field, 2 * s)
+    c_2s1 = (math.sqrt(math.pi) * gamma(nu) / g_s) ** n \
+        * y_1s * field_zeta(field, 2 * s - 1) / math.sqrt(field.d_F)
+    pref = 2 * (2 * math.pi ** s / g_s) ** n * math.sqrt(ny / field.d_F)
     value = c_2s + c_2s1 + pref * total.real
     if not want_deriv:
         return value, 0.0

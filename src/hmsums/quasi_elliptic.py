@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field_arith import FieldData, InvalidInput, ModMatrix, OFElem, identity
-from .eta_engine import _apex, _insert, phi
+from .eta_engine import _apex, _insert, _off_indices, phi
 from .unit_domain import TruncationParams
 
 
@@ -107,27 +107,6 @@ class QuasiEllipticData:
     def field(self) -> FieldData:
         return self.A.field
 
-    def rel_norm_num(self, m: OFElem, n: OFElem) -> OFElem:
-        """c * N_{K/F}(m + n omega) as an exact element of O_F."""
-        A = self.A
-        return A.c * m * m + (A.a - A.d) * m * n - A.b * n * n
-
-    def norm_beta(self, m: OFElem, n: OFElem) -> Fraction:
-        """N_{K/Q}(m + n omega) as an exact rational."""
-        return Fraction(self.rel_norm_num(m, n).norm(), self.A.c.norm())
-
-    def beta_embs(self, m: OFElem, n: OFElem) -> tuple:
-        """(beta_r1, beta_r2, (beta_k)_{k != j}) for beta = m + n omega."""
-        j = self.j
-        b_r1 = m.emb(j) + n.emb(j) * self.omega_r1
-        b_r2 = m.emb(j) + n.emb(j) * self.omega_r2
-        rest = tuple(m.emb(k) + n.emb(k) * w
-                     for k, w in zip(self._off(), self.omega_c))
-        return b_r1, b_r2, rest
-
-    def _off(self):
-        return [k for k in range(self.field.n) if k != self.j]
-
 
 def quasi_data(A: ModMatrix) -> QuasiEllipticData:
     tags = classify(A)
@@ -140,7 +119,7 @@ def quasi_data(A: ModMatrix) -> QuasiEllipticData:
     eps_r1 = A.c.emb(j) * r1 + A.d.emb(j)
     data = QuasiEllipticData(A, j, r1, r2, wc, eps_r1, _sign_c_tr(A, j))
     # eigenvalues are relative-norm-1 units: |eps_k| = 1 at elliptic places
-    for k, w in zip(data._off(), wc):
+    for k, w in zip(_off_indices(A.field.n, j), wc):
         if abs(abs(A.c.emb(k) * w + A.d.emb(k)) - 1.0) >= 1e-10:
             raise InvalidInput(f"eigenvalue at place {k} is not of modulus 1")
     return data
@@ -224,9 +203,11 @@ def psi_elliptic_closed(field: FieldData, A: ModMatrix, j: int = 0):
     wj = _fixed_points(A, j, upper=True)
     lam = A.c.emb(j) * wj + A.d.emb(j)
     log_term = cmath.log(-(lam * lam)) / (1j * math.pi)
-    assert abs(log_term.imag) < 1e-12
+    if not abs(log_term.imag) < 1e-12:
+        raise InvalidInput(f"eigenvalue {lam} is not of modulus 1")
     val = -(2 ** (field.n - 2)) * field.R_F \
         * (log_term.real + _sign_c_tr(A, j))
     witness = Fraction(round(2 * val / field.R_F * m), m)
-    assert abs(witness - 2 * val / field.R_F) < 1e-9
+    if not abs(witness - 2 * val / field.R_F) < 1e-9:
+        raise ArithmeticError(f"2 Psi / R_F is not a multiple of 1/{m}")
     return val, witness

@@ -9,6 +9,15 @@ eis_direct sums the defining lattice series itself over a box.
 divmod_near_scan is field_arith.divmod_near on OFElem arithmetic and exact
 Fractions.
 
+The first functions restate facts the library keeps in another form.
+tp_unit and log_eta1 give the totally positive unit behind
+FieldData.unit_index.  zeta2_siegel gives zeta_F(2), which
+lfunctions.field_zeta computes.  classical_ln_eta gives the ln eta(z) that
+eta_engine.lam equals over Q.  divides is the exact divisibility behind
+field_arith.divide_exact.  rel_norm_num, norm_beta and beta_embs give the
+exact norms and float embeddings of beta = m + n omega one element at a
+time; unit_domain.module_orbit_arrays computes them as arrays.
+
 The orbit functions at the end pick representatives of O_F \\ {0} under
 U_F^+ and U_F, and of M \\ {0} under U, one element at a time.  Orbits are
 keyed by a balanced logarithmic coordinate, such as t = ln|x_1| - ln|x_2|,
@@ -19,19 +28,83 @@ unit_domain.module_orbit_arrays, and no longer needs these.
 
 from __future__ import annotations
 
+import cmath
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import gamma, kv
 
 from hmsums.field_arith import (FieldData, InvalidInput, OFElem,
-                                exact_quotient)
+                                _zeta_minus_one, exact_quotient)
+from hmsums.eta_engine import _off_indices
 from hmsums.unit_domain import (_EDGE, CapExceeded, _expand_rows,
                                 _lattice_boxes, _ragged_arange,
                                 module_orbit_arrays)
 
 TWO_PI = 2.0 * math.pi
+
+
+# -- field, eta and module data ------------------------------------------------
+
+def tp_unit(field: FieldData) -> OFElem:
+    """Generator of the totally positive units U_F^+ (with embedding > 1)."""
+    e = field.eps_fund
+    return e if e.norm() == 1 else e * e
+
+
+def log_eta1(field: FieldData) -> float:
+    """ln of the first embedding of tp_unit."""
+    return math.log(tp_unit(field).embeddings()[0])
+
+
+def zeta2_siegel(field: FieldData) -> float:
+    """zeta_F(2) = 4 pi^4 zeta_F(-1) / d_F^(3/2), by the functional equation
+    from Siegel's exact zeta_F(-1); pi^2/6 over Q."""
+    if field.n == 1:
+        return math.pi ** 2 / 6
+    d_F = field.d_F
+    return 4 * math.pi ** 4 * float(_zeta_minus_one(d_F)) / d_F ** 1.5
+
+
+def classical_ln_eta(z: complex, terms: int = 400) -> complex:
+    """ln eta(z) by the q-product, principal branches (Im z > 0)."""
+    if not z.imag > 0:
+        raise InvalidInput(f"need Im z > 0, got {z}")
+    q = cmath.exp(2j * math.pi * z)
+    s = 1j * math.pi * z / 12
+    for m in range(1, terms + 1):
+        s += cmath.log(1 - q ** m)
+    return s
+
+
+def divides(y: OFElem, x: OFElem) -> bool:
+    """True when y exactly divides x in O_F."""
+    qa, qb = exact_quotient(x, y)
+    return qa.denominator == 1 and qb.denominator == 1
+
+
+def rel_norm_num(data, m: OFElem, n: OFElem) -> OFElem:
+    """c * N_{K/F}(m + n omega) as an exact element of O_F, for the
+    quasi_elliptic.QuasiEllipticData of A = (a, b; c, d)."""
+    A = data.A
+    return A.c * m * m + (A.a - A.d) * m * n - A.b * n * n
+
+
+def norm_beta(data, m: OFElem, n: OFElem) -> Fraction:
+    """N_{K/Q}(m + n omega) as an exact rational."""
+    return Fraction(rel_norm_num(data, m, n).norm(), data.A.c.norm())
+
+
+def beta_embs(data, m: OFElem, n: OFElem) -> tuple:
+    """(beta_r1, beta_r2, (beta_k)_{k != j}) for beta = m + n omega."""
+    j = data.j
+    b_r1 = m.emb(j) + n.emb(j) * data.omega_r1
+    b_r2 = m.emb(j) + n.emb(j) * data.omega_r2
+    rest = tuple(m.emb(k) + n.emb(k) * w
+                 for k, w in zip(_off_indices(data.field.n, j), data.omega_c))
+    return b_r1, b_r2, rest
 
 
 def weighted_lattice(field: FieldData, alpha: float, beta: float,
@@ -228,10 +301,10 @@ def tp_orbit_rep(x: OFElem) -> tuple:
     F = x.field
     if F.n == 1:
         return x, 0
-    L = F.log_eta1
+    L = log_eta1(F)
     t = log_ratio(x)
     k = -math.floor((t + L + _EDGE) / (2 * L))
-    return x * F.tp_unit.pow(k), k
+    return x * tp_unit(F).pow(k), k
 
 
 def unit_orbit_rep(x: OFElem) -> OFElem:
@@ -299,7 +372,7 @@ def enumerate_tp_orbits(field: FieldData, norm_bound: float,
         return []
     if field.n == 1:
         return [field.elem(v) for v in range(-X, X + 1) if v]
-    L = field.log_eta1
+    L = log_eta1(field)
     A, B, e1, e2, nrm = _box(field, _window_radius(X, L), _window_radius(X, L),
                              max_terms)
     mask = _in_window(e1, e2, nrm, X, L)
@@ -352,7 +425,7 @@ def module_orbit_rep(data, m: OFElem, n: OFElem) -> tuple:
         raise InvalidInput("zero has no unit orbit")
     F = data.field
     Wu = abs(math.log(abs(data.eps_r1)))
-    b1, b2, _ = data.beta_embs(m, n)
+    b1, b2, _ = beta_embs(data, m, n)
     u = math.log(abs(b1)) - math.log(abs(b2))
     step = 2 * math.log(abs(data.eps_r1))  # u-shift of one power of eps
     k = -math.floor((u + Wu + _EDGE) / abs(step))
@@ -361,7 +434,7 @@ def module_orbit_rep(data, m: OFElem, n: OFElem) -> tuple:
     m, n = _eps_action(data, m, n, k)
     if F.n == 2:
         Wv = 2 * F.R_F
-        b1, b2, rest = data.beta_embs(m, n)
+        b1, b2, rest = beta_embs(data, m, n)
         v = math.log(abs(b1 * b2)) - 2 * math.log(abs(rest[0]))
         shift = 4 * math.log(abs(F.eps_fund.emb(data.j)))  # v-shift of eps_F
         l = -math.floor((v + Wv + _EDGE) / abs(shift))
@@ -369,7 +442,7 @@ def module_orbit_rep(data, m: OFElem, n: OFElem) -> tuple:
             l = -l
         e = F.eps_fund.pow(l)
         m, n = e * m, e * n
-    b1, _, _ = data.beta_embs(m, n)
+    b1, _, _ = beta_embs(data, m, n)
     if b1 < 0:
         m, n = -m, -n
     return m, n

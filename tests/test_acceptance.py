@@ -215,13 +215,25 @@ def test_worked_reduction_printed_rational_constant():
 
 # -- 6. Hecke eigen-identity ---------------------------------------------------
 
+# D -> totally positive primes on {1, w}: a split, an inert and, where one
+# has a totally positive generator, a ramified prime (2 and 3 over Q)
+HECKE_PRIMES = {1: [(2, 0), (3, 0)], 2: [(3, 1), (3, 0), (2, 1)],
+                3: [(4, 1), (5, 0)], 5: [(4, 1), (2, 0), (2, 1)],
+                7: [(6, 1), (5, 0), (3, 1)], 13: [(4, 1), (2, 0), (5, 3)]}
+
+
 def test_hecke_identity_campaign():
-    p = F7.elem(3, 1)                      # totally positive, norm 2
-    d, c = F7.elem(1, 0), F7.elem(3, 1)
     rng = random.Random(63)
-    for _ in range(10):
-        zh = (rng.uniform(-1, 1) + 1j * rng.uniform(0.5, 2.0),)
-        assert abs(hecke_defect(F7, d, c, zh, p, 0, FAST)) < 1e-5
+    for D, primes in HECKE_PRIMES.items():
+        F = make_field(D)
+        d, c = F.elem(1, 0), F.elem(3, 1)
+        for p in (F.elem(*v) for v in primes):
+            # 10 points at norm < 10, 3 above, where T_p costs N(p) + 1 sums
+            for _ in range(10 if abs(p.norm()) < 10 else 3):
+                zh = tuple(rng.uniform(-1, 1) + 1j * rng.uniform(0.5, 2.0)
+                           for _ in range(F.n - 1))
+                assert abs(hecke_defect(F, d, c, zh, p, 0, FAST)) < 1e-5, \
+                    (D, p)
 
 
 def test_hecke_identity_series_level():

@@ -111,11 +111,15 @@ def test_verify_reciprocity_campaign(capsys):
     assert rep["aggregate"]["max_defect"] < 1e-6
 
 
-def test_verify_hecke_campaign(capsys):
-    code, rep = capture(capsys, ["verify", "hecke", "--d", "7",
-                                 "--trials", "2", "--seed", "3"])
+@pytest.mark.parametrize("D", [1, 2, 3, 5, 7, 13])
+def test_verify_hecke_campaign(capsys, D):
+    # one case per trial and prime: a split, an inert and, where one has a
+    # totally positive generator, a ramified prime of each field
+    code, rep = capture(capsys, ["verify", "hecke", "--d", str(D),
+                                 "--trials", "2", "--seed", "1"])
     assert code == 0
     assert rep["aggregate"]["max_defect"] < 1e-5
+    assert len(rep["cases"]) == 2 * (2 if D in (1, 3) else 3)
 
 
 def test_theorem5_subcommand(capsys):
@@ -129,10 +133,10 @@ def test_theorem5_subcommand(capsys):
     assert rep["value_im"] == pytest.approx(5.665, abs=0.05)
 
 
-def test_env_var_tolerance(capsys, monkeypatch):
-    monkeypatch.setenv("HMSUMS_TOL", "1e-30")
+def test_impossible_tolerance_fails(capsys):
     code, rep = capture(capsys, ["verify", "cocycle", "--d", "7",
-                                 "--trials", "2", "--seed", "1"])
+                                 "--trials", "2", "--seed", "1",
+                                 "--tol", "1e-30"])
     assert code == 1                      # impossible tolerance fails the run
     assert rep["tol"] == 1e-30
 

@@ -6,11 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from hmsums.field_arith import make_field
 from hmsums.eta_engine import classical_dedekind_s, phi
-from hmsums.dedekind_sums import (fundamental_s, hecke_defect, inv_conj,
-                                  moebius_factor, neg_conj,
-                                  reciprocity_defect, reduce_to_fundamental,
-                                  sum_s, translate, unit_scale)
-from hmsums.unit_domain import TruncationParams
+from hmsums.dedekind_sums import (fundamental_s, hecke_defect,
+                                  hecke_transform, inv_conj, moebius_factor,
+                                  neg_conj, reciprocity_defect,
+                                  reduce_to_fundamental, sum_s, translate,
+                                  unit_scale)
+from hmsums.unit_domain import InvalidInput, TruncationParams
+from oracles import tp_unit
 
 F1 = make_field(1)
 F7 = make_field(7)
@@ -100,7 +102,7 @@ def test_translation_identity(q):
 
 
 def test_unit_scaling_identity():
-    eps = F7.tp_unit
+    eps = tp_unit(F7)
     lhs = sum_s(F7, D7, eps * C7, ZH, 0, FAST)
     rhs = sum_s(F7, D7, C7, unit_scale(ZH, eps, 0), 0, FAST)
     assert lhs == pytest.approx(rhs, abs=1e-9)
@@ -180,3 +182,16 @@ def test_hecke_ramified_prime():
     # p = 3 + sqrt7 is totally positive of norm 2; eigenvalue N(p) + 1 = 3.
     assert hecke_defect(F7, D7, C7, ZH, F7.elem(3, 1), 0, FAST) \
         == pytest.approx(0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("D,p", [(3, (3, 1)), (13, (3, 1)), (7, (3, 0)),
+                                 (7, (4, 1))])
+def test_hecke_rejects_composite(D, p):
+    # totally positive but not prime: N(3 + sqrt3) = 6; 3 + w over Q(sqrt13)
+    # and 3 and 4 + sqrt7 over Q(sqrt7) have norm 9, and 3 splits in both
+    # fields (N(2 + sqrt7) = -3); p = 3 over Q(sqrt7) gave a defect of 1.83
+    F = make_field(D)
+    p = F.elem(*p)
+    assert p.is_totally_positive()
+    with pytest.raises(InvalidInput):
+        hecke_transform(F, F.one, F.elem(3, 1), (0.35 + 1.05j,), p)

@@ -10,13 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from hmsums import eta_engine
 from hmsums.dedekind_sums import hecke_transform
-from hmsums.field_arith import (InvalidInput, divides, make_field, matrix_S,
-                                residues_mod)
+from hmsums.field_arith import InvalidInput, make_field, matrix_S, residues_mod
 from hmsums.eta_engine import (apex_point, area_cocycle, classical_dedekind_s,
-                               classical_ln_eta, classical_phi_R,
-                               delta_cocycle, h_func, lam, omega, phi)
+                               classical_phi_R, delta_cocycle, h_func, lam,
+                               omega, phi)
 from hmsums.unit_domain import CapExceeded, TruncationParams
-from oracles import (enumerate_tp_orbits, enumerate_unit_orbits, tp_orbit_rep,
+from oracles import (classical_ln_eta, divides, enumerate_tp_orbits,
+                     enumerate_unit_orbits, tp_orbit_rep, tp_unit,
                      unit_orbit_rep, weighted_lattice)
 
 F1 = make_field(1)
@@ -259,10 +259,12 @@ def test_ideal_table_grows_by_doubling(monkeypatch):
 
 
 def test_input_checks_survive_optimize():
-    # a point off the upper half-plane, a zero c, a determinant other than 1
-    # and a zero divisor raise InvalidInput, not AssertionError, so
-    # python -O keeps the checks
-    code = ("from hmsums.field_arith import divmod_near, make_field\n"
+    # a point off the upper half-plane, a zero c, a determinant other than 1,
+    # a zero divisor, a sum across two fields, the unit inverse of 2 and the
+    # residues modulo 0 raise InvalidInput, not AssertionError, so python -O
+    # keeps the checks
+    code = ("from hmsums.field_arith import (divmod_near, make_field,\n"
+            "                                residues_mod)\n"
             "from hmsums.dedekind_sums import sum_s\n"
             "from hmsums.eta_engine import apex_point, omega\n"
             "from hmsums.unit_domain import InvalidInput\n"
@@ -271,7 +273,10 @@ def test_input_checks_survive_optimize():
             "         lambda: apex_point(F, F.matrix(1, 1, 0, 1)),\n"
             "         lambda: sum_s(F, F.one, F.zero, (0.3 + 1j,)),\n"
             "         lambda: F.matrix(2, 0, 0, 1),\n"
-            "         lambda: divmod_near(F.one, F.zero)]\n"
+            "         lambda: divmod_near(F.one, F.zero),\n"
+            "         lambda: F.one + make_field(5).one,\n"
+            "         lambda: F.elem(2).inv_unit(),\n"
+            "         lambda: residues_mod(F.zero)]\n"
             "for call in calls:\n"
             "    try:\n"
             "        call()\n"
@@ -283,7 +288,7 @@ def test_input_checks_survive_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["raised"] * 5
+    assert out.stdout.split() == ["raised"] * 8
 
 
 @pytest.mark.parametrize("call", [
@@ -312,7 +317,7 @@ def test_lam_translation_invariance():
 
 def test_lam_unit_scaling_invariance():
     # the second point is skewed (y_1/y_2 = 1/180), where unit balancing acts
-    e1, e2 = F7.tp_unit.embeddings()
+    e1, e2 = tp_unit(F7).embeddings()
     for z in [(0.2 + 0.7j, 0.4 + 1.1j), (0.3 + 0.02j, -0.1 + 3.6j)]:
         zu = (e1 * e1 * z[0], e2 * e2 * z[1])
         assert lam(F7, zu, 0, FAST) \

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from hmsums.field_arith import (InvalidInput, NotCoprime, divmod_near,
                                 ext_gcd, identity, kronecker, make_field,
                                 matrix_S, of_gcd)
-from oracles import divmod_near_scan
+from hmsums.lfunctions import field_zeta
+from oracles import divmod_near_scan, tp_unit, zeta2_siegel
 
 SUPPORTED = [2, 3, 5, 7, 13]
 
@@ -22,7 +23,7 @@ def fld(D):
 def test_field_constants_d7():
     F = fld(7)
     assert F.d_F == 28
-    assert not F.basis_half
+    assert F.norm_form == (0, 7)          # w = sqrt(7)
     eps = F.eps_fund
     assert (eps.a, eps.b) == (8, 3)
     assert eps.norm() == 1
@@ -30,18 +31,18 @@ def test_field_constants_d7():
     assert F.R_F == pytest.approx(math.log(8 + 3 * math.sqrt(7)), abs=1e-14)
     d = F.different
     assert d.norm() == -F.d_F
-    assert F.tp_unit == eps
+    assert tp_unit(F) == eps
 
 
 def test_field_constants_d5():
     F = fld(5)
-    assert F.d_F == 5 and F.basis_half
+    assert F.d_F == 5 and F.norm_form == (1, 1)     # w = (1 + sqrt(5))/2
     eps = F.eps_fund
     assert (eps.a, eps.b) == (0, 1)
     assert eps.norm() == -1
     assert F.unit_index == 4
-    assert F.tp_unit == eps * eps
-    assert F.tp_unit.is_totally_positive()
+    assert tp_unit(F) == eps * eps
+    assert tp_unit(F).is_totally_positive()
     assert F.different.norm() == -5
 
 
@@ -51,7 +52,7 @@ def test_unit_and_regulator(D):
     eps = F.eps_fund
     assert abs(eps.norm()) == 1
     assert eps.embeddings()[0] > 1
-    u = F.tp_unit
+    u = tp_unit(F)
     assert u.is_totally_positive() and u.norm() == 1
     assert F.unit_index == (2 if eps.norm() == 1 else 4)
 
@@ -62,7 +63,9 @@ def test_unit_and_regulator(D):
     (2, 1.4349714337366840),
 ])
 def test_zeta2_reference(D, expected):
-    assert fld(D).zeta2 == pytest.approx(expected, rel=1e-10)
+    # Siegel's closed form and the Hurwitz sum of field_zeta
+    for zeta2 in (zeta2_siegel(fld(D)), field_zeta(fld(D), 2.0)):
+        assert zeta2 == pytest.approx(expected, rel=1e-10)
 
 
 @pytest.mark.parametrize("D,value", [(2, Fraction(1, 12)), (3, Fraction(1, 6)),
@@ -81,7 +84,8 @@ def test_zeta_closed_form(D, value):
         L = sum(kronecker_symbol(d, r) * mpmath.zeta(2, mpmath.mpf(r) / d)
                 for r in range(1, d + 1)) / d ** 2
         ref = float(mpmath.zeta(2) * L)
-    assert F.zeta2 == pytest.approx(ref, rel=2e-15)
+    for zeta2 in (zeta2_siegel(F), field_zeta(F, 2.0)):
+        assert zeta2 == pytest.approx(ref, rel=2e-15)
 
 
 def test_kappa_rational_mode():
@@ -93,8 +97,9 @@ def test_kappa_rational_mode():
 
 def test_kappa_formula_d7():
     F = fld(7)
-    assert F.kappa == pytest.approx(
-        F.d_F * F.zeta2 / (4 * F.R_F * math.pi ** 3), rel=1e-14)
+    for zeta2 in (zeta2_siegel(F), field_zeta(F, 2.0)):
+        assert F.kappa == pytest.approx(
+            F.d_F * zeta2 / (4 * F.R_F * math.pi ** 3), rel=1e-14)
     assert 0 < F.kappa < 1
 
 
@@ -268,10 +273,9 @@ def test_kronecker_counts_roots(D):
     # chi(p) + 1 is the number of roots mod p of the minimal polynomial of
     # w, and chi has period d_F (the divisor sums of omega rely on both)
     F = fld(D)
-    q = (D - 1) // 4 if F.basis_half else D
+    t, q = F.norm_form                    # w^2 = t w + q
     for p in [p for p in range(2, 200) if all(p % k for k in range(2, p))]:
-        roots = sum((x * x - (x if F.basis_half else 0) - q) % p == 0
-                    for x in range(p))
+        roots = sum((x * x - t * x - q) % p == 0 for x in range(p))
         assert kronecker(F.d_F, p) == roots - 1
     for n in range(1, 200):
         assert kronecker(F.d_F, n + F.d_F) == kronecker(F.d_F, n)

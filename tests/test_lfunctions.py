@@ -9,15 +9,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hmsums import lfunctions
-from hmsums.field_arith import divides, make_field, matrix_S
+from hmsums.field_arith import make_field, matrix_S
 from hmsums.lfunctions import (InvalidInput, eis, eis_dz1, field_zeta,
                                geodesic_arc, geodesic_period, l_a,
                                l_a_deriv_report, period_defect,
                                period_integrand, period_rhs, volume)
 from hmsums.quasi_elliptic import NotQuasiElliptic, quasi_data
 from hmsums.unit_domain import CapExceeded, TruncationParams
-from oracles import (_box, eis_direct, eis_per_mu, enumerate_module_orbits,
-                     enumerate_unit_orbits)
+from oracles import (_box, divides, eis_direct, eis_per_mu,
+                     enumerate_module_orbits, enumerate_unit_orbits, norm_beta,
+                     zeta2_siegel)
 
 F1 = make_field(1)
 F7 = make_field(7)
@@ -56,10 +57,11 @@ def test_l_a_tail_counts_half_exactly():
     # the tail's density counts orbits with |N| <= X/2; take X so that an
     # orbit sits exactly on X/2
     qd = quasi_data(A1)
-    norms = [abs(qd.norm_beta(m, n))
+    norms = [abs(norm_beta(qd, m, n))
              for m, n in enumerate_module_orbits(qd, 300)]
     X = 2 * max(v for v in norms if v.denominator == 1 and v <= 150)
-    reps = [abs(qd.norm_beta(m, n)) for m, n in enumerate_module_orbits(qd, X)]
+    reps = [abs(norm_beta(qd, m, n))
+            for m, n in enumerate_module_orbits(qd, X)]
     n_half = sum(v <= X / 2 for v in reps)
     assert X / 2 in reps
     la = l_a(A1, 2.0, float(X))
@@ -215,7 +217,7 @@ def test_field_zeta_closed_forms(D):
     from sympy.functions.combinatorial.numbers import kronecker_symbol
 
     F = make_field(D)
-    assert field_zeta(F, 2.0) == pytest.approx(F.zeta2, rel=1e-14)
+    assert field_zeta(F, 2.0) == pytest.approx(zeta2_siegel(F), rel=1e-14)
     d = F.d_F
     with mpmath.workdps(30):
         L = 1 if d == 1 else sum(
@@ -246,6 +248,28 @@ def test_eis_rejects_bad_input(z, s):
         eis(F7, z, s, FAST)
     with pytest.raises(InvalidInput):
         eis_dz1(F7, z, s, 0, FAST)
+
+
+# N(y)^s overflows at y = 1000 (s = 150 and 700; zeta_F(1400) fails too),
+# Gamma(s) at s = 172, and zeta(220, 1/28) > 28^220 inside zeta_F(2s)
+@pytest.mark.parametrize("field,z,s", [(F7, (0.1 + 1e3j, 0.2 + 1e3j), 150.0),
+                                       (F7, (0.1 + 1e3j, 0.2 + 1e3j), 700.0),
+                                       (F1, (0.1 + 1e3j,), 150.0),
+                                       (F1, (0.1 + 1j,), 172.0),
+                                       (F7, (0.1 + 1j, 0.2 + 1j), 110.0)])
+def test_eis_large_s_raises(field, z, s):
+    with pytest.raises(InvalidInput):
+        eis(field, z, s)
+    with pytest.raises(InvalidInput):
+        eis_dz1(field, z, s)
+
+
+def test_field_zeta_rejects_overflow():
+    # the Hurwitz term zeta(w, 1/28) > 28^w leaves double range past w = 213
+    assert field_zeta(F7, 212.0) == pytest.approx(1.0, abs=1e-13)
+    for w in (214.0, 300.0, 1400.0):
+        with pytest.raises(InvalidInput):
+            field_zeta(F7, w)
 
 
 def test_eis_direct_term_cap():

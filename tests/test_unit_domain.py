@@ -13,9 +13,9 @@ from hmsums.quasi_elliptic import quasi_data
 from hmsums.unit_domain import (CapExceeded, InvalidInput, TruncationParams,
                                 module_orbit_arrays)
 from oracles import (_box, _eps_action, enumerate_module_orbits,
-                     enumerate_tp_orbits, enumerate_unit_orbits, log_ratio,
-                     module_orbit_rep, tp_orbit_rep, unit_orbit_rep,
-                     weighted_lattice)
+                     enumerate_tp_orbits, enumerate_unit_orbits, log_eta1,
+                     log_ratio, module_orbit_rep, norm_beta, rel_norm_num,
+                     tp_orbit_rep, tp_unit, unit_orbit_rep, weighted_lattice)
 
 SUPPORTED = [2, 3, 5, 7, 13]
 
@@ -32,11 +32,11 @@ def test_tp_rep_canonical_and_invariant(D, a, b, k):
     if not x:
         return
     rep, _ = tp_orbit_rep(x)
-    L = F.log_eta1
+    L = log_eta1(F)
     t = log_ratio(rep)
     assert -L - 1e-6 <= t < L
     # Representative is constant along the orbit.
-    rep2, _ = tp_orbit_rep(x * F.tp_unit.pow(k))
+    rep2, _ = tp_orbit_rep(x * tp_unit(F).pow(k))
     assert rep2 == rep
     assert rep.norm() == x.norm()
 
@@ -252,7 +252,7 @@ def _brute_reps(qd, X, box):
     reps = set()
     for i in np.nonzero((nrm > 0) & (nrm <= X * (1 + 1e-6)))[0]:
         m, n = F.elem(int(ma[i]), int(mb[i])), F.elem(int(na[i]), int(nb[i]))
-        if abs(qd.norm_beta(m, n)) <= X:
+        if abs(norm_beta(qd, m, n)) <= X:
             reps.add(module_orbit_rep(qd, m, n))
     return sorted(reps, key=lambda r: (r[1].b, r[1].a, r[0].b, r[0].a))
 
@@ -300,7 +300,7 @@ def test_exact_norm_paths_agree(monkeypatch):
     exact = unit_domain._rel_norms(qd, *big)
     assert exact.dtype == object
     F = qd.field
-    ref = [abs(qd.rel_norm_num(F.elem(a, b), F.elem(c, d)).norm())
+    ref = [abs(rel_norm_num(qd, F.elem(a, b), F.elem(c, d)).norm())
            for a, b, c, d in zip(*(x.tolist() for x in big))]
     assert exact.tolist() == ref
     assert max(ref) > 2 ** 63
