@@ -17,8 +17,8 @@ import time
 from fractions import Fraction
 
 from .dedekind_sums import hecke_defect, reciprocity_defect, sum_s
-from .eta_engine import (apex_point, area_cocycle, classical_dedekind_s,
-                         classical_phi_R, phi)
+from .eta_engine import (_insert, apex_point, area_cocycle,
+                         classical_dedekind_s, classical_phi_R, phi)
 from .field_arith import FieldData, ModMatrix, make_field, matrix_S
 from .lfunctions import _special, l_a, period_defect
 from .quasi_elliptic import classify, psi
@@ -92,9 +92,10 @@ def _rand_matrix(field: FieldData, rng: random.Random,
             return A
 
 
-def _rand_zhat(field: FieldData, rng: random.Random) -> tuple:
+def _rand_point(rng: random.Random, k: int) -> tuple:
+    """k random components x + iy, -1 <= x <= 1, 0.5 <= y <= 2."""
     return tuple(rng.uniform(-1, 1) + 1j * rng.uniform(0.5, 2.0)
-                 for _ in range(field.n - 1))
+                 for _ in range(k))
 
 
 # -- subcommand bodies (each returns (report_dict, passed)) --------------------
@@ -112,9 +113,9 @@ def _cmd_phi(args):
     F = make_field(args.d)
     A = _parse_matrix(F, args.matrix)
     z = _parse_point(F, args.z) if args.z else None
-    if z is not None:
-        zj = apex_point(F, A)[args.j] if A.c else 1j
-        z = z[:args.j] + (zj,) + z[args.j:]
+    if z is not None:                   # phi rejects a j outside [0, n)
+        zj = apex_point(F, A)[args.j] if A.c and 0 <= args.j < F.n else 1j
+        z = _insert(z, args.j, zj)
     v = phi(F, A, z=z, j=args.j, trunc=_trunc(args))
     return {"value": v}, True
 
@@ -146,8 +147,7 @@ def _cmd_theorem5(args):
     A = _parse_matrix(F, args.matrix)
     defect, budget, per, _ = period_defect(
         A, args.s, norm_bound=args.norm_bound, m=args.quad_order,
-        trunc=_trunc(args), tol=1e-6 if args.tol is None else args.tol,
-        mu_cap=args.mu_cap)
+        trunc=_trunc(args), tol=args.tol, mu_cap=args.mu_cap)
     ok = bool(defect <= budget)
     return {"value_re": float(per.real), "value_im": float(per.imag),
             "defect": float(defect), "budget": float(budget),
@@ -208,8 +208,7 @@ def _cmd_verify(args):
                 if A.c and B.c and (A * B).c \
                         and abs((A * B).c.norm()) <= 12:
                     break
-            z = tuple(rng.uniform(-1, 1) + 1j * rng.uniform(0.5, 2.0)
-                      for _ in range(F.n))
+            z = _rand_point(rng, F.n)
             j = rng.randrange(F.n)
             Bz = tuple(B.moebius(k, z[k]) for k in range(F.n))
             defect = abs(phi(F, A * B, z=z, j=j, trunc=trunc)
@@ -223,7 +222,7 @@ def _cmd_verify(args):
                 c, d = A.c, A.d
                 if c and d and c.sign_emb(0) > 0 and d.sign_emb(0) > 0:
                     break
-            z = _rand_zhat(F, rng)
+            z = _rand_point(rng, F.n - 1)
             defect = abs(reciprocity_defect(F, d, c, z, 0, trunc))
             inputs = {"c": repr(c), "d": repr(d)}
         else:  # hecke, one case per prime
@@ -231,7 +230,7 @@ def _cmd_verify(args):
                 A = _rand_matrix(F, rng)
                 if A.c:
                     break
-            z = _rand_zhat(F, rng)
+            z = _rand_point(rng, F.n - 1)
             for p in (_elem(F, v) for v in _HECKE_PRIMES[args.d]):
                 defect = abs(hecke_defect(F, A.d, A.c, z, p, 0, trunc))
                 inputs = {"c": repr(A.c), "d": repr(A.d), "p": repr(p)}
@@ -245,78 +244,69 @@ def _cmd_verify(args):
 
 # -- argument plumbing ---------------------------------------------------------
 
-def _add_common(p, field=True):
-    if field:
-        p.add_argument("--d", type=int, default=7,
-                       help="field parameter D (1 for the rational field)")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--weight-bound", type=float, default=35.0)
-    p.add_argument("--max-terms", type=int, default=5_000_000)
-    p.add_argument("--seed", type=int, default=0)
+# The flags of several subcommands, declared once; each subcommand lists the
+# flags its body reads.
+_FLAGS = {
+    "--d": dict(type=int, default=7,
+                help="field parameter D (1 for the rational field)"),
+    "--matrix": dict(required=True),
+    "--z": dict(nargs="*", help="off-components as 'x+yi'"),
+    "--j": dict(type=int, default=0),
+    "--s": dict(type=float, default=2.0),
+    "--norm-bound": dict(type=float, default=2000.0),
+    "--seed": dict(type=int, default=0),
+    "--weight-bound": dict(type=float,
+                           default=TruncationParams.weight_bound),
+    "--max-terms": dict(type=int, default=TruncationParams.max_terms),
+}
+_TRUNC = ("--weight-bound", "--max-terms")
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hmsums", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("sum", help="generalized Dedekind sum s_j(d, c; z)")
-    _add_common(p)
+    def add(name, fn, help, *flags):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(fn=fn)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        return p
+
+    p = add("sum", _cmd_sum, "generalized Dedekind sum s_j(d, c; z)",
+            "--d", "--z", "--j", *_TRUNC)
     p.add_argument("--dnum", required=True, help="element d as JSON [a,b]")
     p.add_argument("--c", required=True, help="element c as JSON [a,b]")
-    p.add_argument("--z", nargs="*", help="off-components as 'x+yi'")
-    p.add_argument("--j", type=int, default=0)
-    p.set_defaults(fn=_cmd_sum)
+    add("phi", _cmd_phi, "cocycle value phi_j(A)",
+        "--d", "--matrix", "--z", "--j", *_TRUNC)
+    add("psi", _cmd_psi, "invariant Psi(A)", "--d", "--matrix", *_TRUNC)
+    add("classify", _cmd_classify, "per-embedding matrix classification",
+        "--d", "--matrix")
+    add("la", _cmd_la, "partial L-function L_A(s)",
+        "--d", "--matrix", "--s", "--norm-bound", "--max-terms")
 
-    p = sub.add_parser("phi", help="cocycle value phi_j(A)")
-    _add_common(p)
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--z", nargs="*")
-    p.add_argument("--j", type=int, default=0)
-    p.set_defaults(fn=_cmd_phi)
-
-    p = sub.add_parser("psi", help="invariant Psi(A)")
-    _add_common(p)
-    p.add_argument("--matrix", required=True)
-    p.set_defaults(fn=_cmd_psi)
-
-    p = sub.add_parser("classify", help="per-embedding matrix classification")
-    _add_common(p)
-    p.add_argument("--matrix", required=True)
-    p.set_defaults(fn=_cmd_classify)
-
-    p = sub.add_parser("la", help="partial L-function L_A(s)")
-    _add_common(p)
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--s", type=float, default=2.0)
-    p.add_argument("--norm-bound", type=float, default=2000.0)
-    p.set_defaults(fn=_cmd_la)
-
-    p = sub.add_parser("theorem5",
-                       help="geodesic period vs Gamma-factor times L_A(s)")
-    _add_common(p)
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--s", type=float, default=2.0)
-    p.add_argument("--norm-bound", type=float, default=2000.0)
+    p = add("theorem5", _cmd_theorem5,
+            "geodesic period vs Gamma-factor times L_A(s)",
+            "--d", "--matrix", "--s", "--norm-bound", *_TRUNC)
     p.add_argument("--quad-order", type=int, default=16,
                    help="initial node count of the periodic trapezoid")
     p.add_argument("--mu-cap", type=float, default=8000.0,
                    help="largest |N(xi delta)| E_F may sum, else an error")
-    p.set_defaults(fn=_cmd_theorem5)
+    p.add_argument("--tol", type=float, default=1e-6)
 
-    p = sub.add_parser("classical", help="exact rational degree-1 checks")
-    _add_common(p, field=False)
+    p = add("classical", _cmd_classical, "exact rational degree-1 checks",
+            "--seed")
     p.add_argument("--recip", action="store_true")
     p.add_argument("--rademacher", action="store_true")
     p.add_argument("--c", type=int, default=3)
     p.add_argument("--dnum", "--d", dest="dnum", type=int, default=1)
     p.add_argument("--trials", type=int, default=100)
-    p.set_defaults(fn=_cmd_classical)
 
-    p = sub.add_parser("verify", help="randomized identity campaigns")
+    p = add("verify", _cmd_verify, "randomized identity campaigns",
+            "--d", "--seed", *_TRUNC)
     p.add_argument("what", choices=sorted(_VERIFY_TOLS))
-    _add_common(p)
     p.add_argument("--trials", type=int, default=10)
-    p.set_defaults(fn=_cmd_verify)
+    p.add_argument("--tol", type=float, default=None)   # None: _VERIFY_TOLS
     return ap
 
 

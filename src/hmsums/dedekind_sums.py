@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field_arith import (FieldData, NotCoprime, OFElem, divide_exact,
-                          divmod_near, ext_gcd, kronecker, of_gcd,
-                          residues_mod)
+from .field_arith import (FieldData, NotCoprime, OFElem, check_field,
+                          divide_exact, divmod_near, ext_gcd, kronecker,
+                          of_gcd, residues_mod)
 from .eta_engine import (_apex, _insert, _off_indices, _prime_powers, _y_rest,
                          phi)
 from .unit_domain import InvalidInput, TruncationParams
@@ -127,6 +127,7 @@ def reciprocity_rhs(field: FieldData, d: OFElem, c: OFElem, z_hat: tuple,
     """Right-hand side of the reciprocity law (requires c_j > 0, d_j > 0):
     s(0,1;z_hat) - 1/4 + kappa T, T as in _reciprocity_term.
     """
+    check_field(field, d, c)
     z_hat = check_zhat(field, z_hat, j)
     cj, dj = c.emb(j), d.emb(j)
     if not (cj > 0 and dj > 0):
@@ -177,6 +178,7 @@ def reduce_to_fundamental(field: FieldData, d: OFElem, c: OFElem,
     constant accumulates the elementary reciprocity terms; no series
     evaluation happens here.
     """
+    check_field(field, d, c)
     if not c:
         raise InvalidInput("the reduction requires c != 0")
     z_hat = check_zhat(field, z_hat, j)
@@ -216,7 +218,7 @@ def reduce_to_fundamental(field: FieldData, d: OFElem, c: OFElem,
         sign = -sign
         d, c = c, d
         z_hat = inv_conj(z_hat)
-    raise AssertionError("reduction failed to terminate")
+    raise ArithmeticError("reduction failed to terminate")
 
 
 # -- Hecke operators ----------------------------------------------------------

@@ -25,18 +25,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field_arith import FieldData, InvalidInput, ModMatrix, OFElem, kronecker
+from .field_arith import (FieldData, InvalidInput, ModMatrix, OFElem,
+                          check_field, kronecker)
 from .unit_domain import (CapExceeded, TruncationParams, _expand_rows,
                           _half_diamond_rows)
 
 TWO_PI = 2.0 * math.pi
 
 
-def check_uhp(field: FieldData, z: tuple) -> tuple:
+def check_uhp(field: FieldData, z: tuple, j: int) -> tuple:
     z = tuple(complex(w) for w in z)
-    if len(z) != field.n or not all(w.imag > 0 for w in z):
-        raise InvalidInput(f"need {field.n} points in the upper half-plane, "
-                           f"got {z}")
+    if not (0 <= j < field.n and len(z) == field.n
+            and all(w.imag > 0 for w in z)):
+        raise InvalidInput(f"need 0 <= j < {field.n} and {field.n} points in "
+                           f"the upper half-plane, got j={j}, {z}")
     return z
 
 
@@ -202,7 +204,7 @@ def omega(field: FieldData, z: tuple, j: int,
     and n_terms, the pairs, is [U_F:U_F^+] sum tau((xi*delta)).  Raises
     CapExceeded for more candidates or pairs than max_terms.
     """
-    z = check_uhp(field, z)
+    z = check_uhp(field, z, j)
     B, idx, cap = trunc.weight_bound, field.unit_index, trunc.max_terms
     x, y = [w.real for w in z], [w.imag for w in z]
     chunks = _xi_chunks(field, y, j, B, cap)
@@ -235,7 +237,7 @@ def omega(field: FieldData, z: tuple, j: int,
 def lam(field: FieldData, z: tuple, j: int = 0,
         trunc: TruncationParams = TruncationParams()) -> complex:
     """Log-eta-type function Lambda_j(z); equals ln(eta(z)) when n = 1."""
-    z = check_uhp(field, z)
+    z = check_uhp(field, z, j)
     om = omega(field, z, j, trunc)
     return (1j * math.pi * field.kappa * z[j] * _y_rest(z[:j] + z[j + 1:])
             - math.sqrt(field.d_F) / (2 * field.R_F) * om.value)
@@ -258,7 +260,8 @@ def delta_cocycle(field: FieldData, A: ModMatrix, z: tuple, j: int = 0,
     imaginary part over pi is the cocycle value, which depends on A and on
     the components (z_k)_{k != j} only.
     """
-    z = check_uhp(field, z)
+    check_field(field, A)
+    z = check_uhp(field, z, j)
     if not A.c:
         raise InvalidInput("the defect formula requires c != 0")
     Az = tuple(A.moebius(k, z[k]) for k in range(field.n))
@@ -304,10 +307,11 @@ def phi(field: FieldData, A: ModMatrix, z: tuple = None, j: int = 0,
     upper-triangular matrices the closed form kappa * b_j d_j * prod y_k is
     used (z-dependent in degree 2, via the off-components of z only).
     """
+    check_field(field, A)
     if not A.c:
         if z is None:
             z = tuple(1j for _ in range(field.n))
-        z = check_uhp(field, z)
+        z = check_uhp(field, z, j)
         bd = (A.b * A.d).emb(j)
         return field.kappa * bd * _y_rest(z[:j] + z[j + 1:])
     if z is None:

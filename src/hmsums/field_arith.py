@@ -29,6 +29,12 @@ class NotCoprime(InvalidInput):
     pass
 
 
+def check_field(field: FieldData, *args) -> None:
+    """Raise InvalidInput unless the elements or matrices args lie in field."""
+    if any(x.field is not field for x in args):
+        raise InvalidInput(f"the arguments must lie in {field}")
+
+
 # D -> fundamental unit coordinates (a, b) on {1, w}
 _FIELD_TABLE = {2: (1, 1), 3: (2, 1), 5: (0, 1), 7: (8, 3), 13: (1, 1)}
 
@@ -274,7 +280,8 @@ def make_field(D: int) -> FieldData:
                          eps_coords=(1, 0), R_F=0.5, unit_index=2,
                          kappa=1.0 / 12.0)
     if D not in _FIELD_TABLE:
-        raise ValueError(f"unsupported field D={D}: class number unverified")
+        raise InvalidInput(f"unsupported field D={D}: class number "
+                           "unverified")
     a, b = _FIELD_TABLE[D]
     t, p = (1, (D - 1) // 4) if D % 4 == 1 else (0, D)
     d_F = D if t else 4 * D
@@ -331,13 +338,6 @@ class ModMatrix:
         a, b, c, d = self.emb(k)
         return (a * z + b) / (c * z + d)
 
-    def pow(self, k: int):
-        base = self if k >= 0 else self.inv()
-        out = identity(self.field)
-        for _ in range(abs(k)):
-            out = out * base
-        return out
-
     def __repr__(self):
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
 
@@ -371,16 +371,13 @@ def divmod_near(d: OFElem, c: OFElem) -> tuple:
     cc = c.conj()
     nc, e = (c * cc).a, d * cc         # d/c = e / N(c) (c^2 in degree 1)
     qa0, qb0 = e.a // nc, e.b // nc
-    # r = d - qa c - qb (c w); in degree 1 w folds to 1, rb = 0 and the
-    # key orders by r^2, as by |N(r)| = |r|
+    # r = d - qa c - qb (c w); in degree 1 w folds to 1 and rb = 0
     cw = c * F.elem(0, 1)
-    t, p = F.norm_form
     best = None
     for qa in range(qa0 - 2, qa0 + 3):
         for qb in range(qb0 - 2, qb0 + 3):
             ra, rb = d.a - qa * c.a - qb * cw.a, d.b - qa * c.b - qb * cw.b
-            key = (abs(ra * ra + t * ra * rb - p * rb * rb), ra * ra + rb * rb,
-                   qa, qb)
+            key = (abs(F.norm(ra, rb)), ra * ra + rb * rb, qa, qb)
             if best is None or key < best[0]:
                 best = (key, ra, rb)
     (_, _, qa, qb), ra, rb = best
@@ -453,5 +450,5 @@ def divide_exact(x: OFElem, y: OFElem) -> OFElem:
     """x / y when y exactly divides x (raises otherwise)."""
     qa, qb = exact_quotient(x, y)
     if qa.denominator != 1 or qb.denominator != 1:
-        raise ValueError("not an exact divisor")
+        raise InvalidInput("not an exact divisor")
     return x.field.elem(int(qa), int(qb))

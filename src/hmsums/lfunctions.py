@@ -156,7 +156,7 @@ def _eis_core(field: FieldData, z: tuple, s: float, j: int, want_deriv: bool,
     when a Bessel term |xi_k|^nu K_nu, N(y)^s, N(y)^(1-s), Gamma(s) or
     zeta_F(2s) leaves double range (large s).
     """
-    z, s = check_uhp(field, z), float(s)
+    z, s = check_uhp(field, z, j), float(s)
     if not s >= 1.5:
         raise InvalidInput(f"the truncation requires s >= 1.5, got {s}")
     x, y = np.array([w.real for w in z]), np.array([w.imag for w in z])

@@ -21,24 +21,25 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field_arith import FieldData, InvalidInput, ModMatrix, OFElem, identity
+from .field_arith import (FieldData, InvalidInput, ModMatrix, OFElem,
+                          check_field, identity)
 from .eta_engine import _apex, _insert, _off_indices, phi
 from .unit_domain import TruncationParams
 
 
-class NotQuasiElliptic(ValueError):
+class NotQuasiElliptic(InvalidInput):
     pass
 
 
-class NotElliptic(ValueError):
+class NotElliptic(InvalidInput):
     pass
 
 
-class NotClassifiable(ValueError):
+class NotClassifiable(InvalidInput):
     pass
 
 
-class NotStable(ValueError):
+class NotStable(InvalidInput):
     pass
 
 
@@ -196,6 +197,7 @@ def psi_elliptic_closed(field: FieldData, A: ModMatrix, j: int = 0):
     series engine realizes).  Returns (value, witness) where the witness is
     the exact rational 2 Psi_j / R_F, denominator dividing m.
     """
+    check_field(field, A)
     tags = classify(A)
     if set(tags) != {"elliptic"}:
         raise NotElliptic(f"classification {tags}")

@@ -1,12 +1,30 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from hmsums.cli import run
+from hmsums.cli import build_parser, run
+from hmsums.eta_engine import _insert, apex_point, phi
+from hmsums.field_arith import make_field
+from hmsums.unit_domain import TruncationParams
+
+A1 = "[[[-2,-1],[1,1]],[[3,1],[-2,-1]]]"
+# the flags of each subcommand, each one read by its body: 46 values
+FLAGS = {
+    "sum": "--d --dnum --c --z --j --weight-bound --max-terms",
+    "phi": "--d --matrix --z --j --weight-bound --max-terms",
+    "psi": "--d --matrix --weight-bound --max-terms",
+    "classify": "--d --matrix",
+    "la": "--d --matrix --s --norm-bound --max-terms",
+    "theorem5": "--d --matrix --s --norm-bound --quad-order --mu-cap --tol "
+                "--weight-bound --max-terms",
+    "classical": "--recip --rademacher --c --dnum/--d --trials --seed",
+    "verify": "what --d --trials --tol --seed --weight-bound --max-terms",
+}
 
 
 def capture(capsys, argv):
@@ -27,6 +45,46 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert run(["phi", "--d", "7", "--matrix", "[[1,0],[[1,2,3],1]]"]) == 2
     capsys.readouterr()
+
+
+def test_each_subcommand_lists_the_flags_it_reads(capsys):
+    assert sum(len(flags.split()) for flags in FLAGS.values()) == 46
+    for cmd, flags in FLAGS.items():
+        assert run([cmd, "--help"]) == 0
+        text = capsys.readouterr().out
+        shown = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", text))
+        assert shown == set(flags.replace("/", " ").split()) \
+            - {"what"} | {"--help"}
+    assert run(["verify", "--help"]) == 0
+    assert "{cocycle,hecke,reciprocity}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["sum", "--dnum", "[1,0]", "--c", "[3,1]", "--z", "0.3+1i"],
+    ["phi", "--matrix", A1],
+    ["psi", "--matrix", A1],
+    ["classify", "--matrix", A1],
+    ["la", "--matrix", A1],
+    ["theorem5", "--matrix", A1],
+    ["classical", "--recip"],
+], ids=lambda argv: argv[0])
+def test_flags_a_subcommand_ignores_are_usage_errors(capsys, argv):
+    # --tol, --weight-bound, --max-terms and --seed wherever the body does
+    # not read them: 17 flags
+    for flag in ("--tol", "--weight-bound", "--max-terms", "--seed"):
+        if flag not in FLAGS[argv[0]].split():
+            assert run(argv + [flag, "1"]) == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_defaults_come_from_the_library():
+    trunc = TruncationParams()
+    for argv in (["psi", "--matrix", A1], ["verify", "cocycle"]):
+        args = build_parser().parse_args(argv)
+        assert (args.weight_bound, args.max_terms) \
+            == (trunc.weight_bound, trunc.max_terms)
+    assert build_parser().parse_args(["theorem5", "--matrix", A1]).tol == 1e-6
+    assert build_parser().parse_args(["verify", "hecke"]).tol is None
 
 
 def test_classical_recip_example(capsys):
@@ -58,6 +116,28 @@ def test_phi_degree_one_matches_rademacher(capsys):
                                  "--matrix", "[[1,0],[1,1]]"])
     assert code == 0
     assert rep["value"] == pytest.approx(2.0 / 12, abs=1e-9)
+
+
+@pytest.mark.parametrize("j", [0, 1])
+def test_phi_off_point(capsys, j):
+    # --z gives the off-component; the component at j is the apex of A
+    code, rep = capture(capsys, ["phi", "--d", "7", "--matrix", A1,
+                                 "--z", "0.3+1.1i", "--j", str(j)])
+    assert code == 0
+    F7 = make_field(7)
+    A = F7.matrix((-2, -1), (1, 1), (3, 1), (-2, -1))
+    z = _insert((0.3 + 1.1j,), j, apex_point(F7, A)[j])
+    assert rep["value"] == phi(F7, A, z=z, j=j)
+    if j == 0:
+        assert rep["value"] == -0.6138007551219995
+
+
+@pytest.mark.parametrize("extra", [[], ["--z", "0.3+1.1i"]])
+def test_phi_rejects_embedding_out_of_range(capsys, extra):
+    code, rep = capture(capsys, ["phi", "--d", "7", "--matrix", A1,
+                                 "--j", "2"] + extra)
+    assert code == 1
+    assert rep["error"].startswith("InvalidInput: need 0 <= j < 2")
 
 
 def test_psi_worked_value(capsys):

@@ -9,8 +9,8 @@ from hmsums.eta_engine import classical_dedekind_s, phi
 from hmsums.dedekind_sums import (fundamental_s, hecke_defect,
                                   hecke_transform, inv_conj, moebius_factor,
                                   neg_conj, reciprocity_defect,
-                                  reduce_to_fundamental, sum_s, translate,
-                                  unit_scale)
+                                  reciprocity_rhs, reduce_to_fundamental,
+                                  sum_s, translate, unit_scale)
 from hmsums.unit_domain import InvalidInput, TruncationParams
 from oracles import tp_unit
 
@@ -131,6 +131,29 @@ def test_degree_two_reduction(d, c):
     assert rs.eval(F7, FAST) == pytest.approx(
         sum_s(F7, de, ce, ZH, 0, FAST), abs=1e-11)
     assert all(sgn in (1.0, -1.0) for sgn, _ in rs.terms)
+
+
+@pytest.mark.parametrize("d,c", [((2, 0), (-1, 0)), ((3, 1), (-8, -3))])
+def test_reduction_ends_at_negative_unit(d, c):
+    # c is a unit with c_j < 0: the reduction flips it to -c and conjugates
+    # the off-point before it rescales by the unit
+    de, ce = F7.elem(*d), F7.elem(*c)
+    assert abs(ce.norm()) == 1 and ce.sign_emb(0) < 0
+    rs = reduce_to_fundamental(F7, de, ce, ZH, 0)
+    assert len(rs.terms) == 1
+    assert rs.eval(F7, FAST) == pytest.approx(
+        sum_s(F7, de, ce, ZH, 0, FAST), abs=1e-13)
+
+
+@pytest.mark.parametrize("call", [
+    lambda F: reduce_to_fundamental(F, F7.one, C7, ZH),
+    lambda F: reciprocity_rhs(F, F7.one, C7, ZH),
+    lambda F: sum_s(F, F7.one, C7, ZH),
+    lambda F: hecke_transform(F, F7.one, C7, ZH, F7.elem(3, 1)),
+])
+def test_field_must_be_the_elements_field(call):
+    with pytest.raises(InvalidInput, match="must lie in"):
+        call(make_field(2))
 
 
 def test_worked_reduction_closed_form():

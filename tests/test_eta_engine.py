@@ -306,6 +306,35 @@ def test_bad_input_raises_invalid_input(call):
         call()
 
 
+Z = (0.3 + 1.1j, 0.2 + 0.9j)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: phi(make_field(2), A_MAIN),
+    lambda: phi(make_field(2), F7.matrix(1, 1, 0, 1)),
+    lambda: delta_cocycle(make_field(2), A_MAIN, Z),
+])
+def test_field_must_be_the_matrix_field(call):
+    with pytest.raises(InvalidInput, match="must lie in"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: phi(F7, A_MAIN, j=-1),
+    lambda: phi(F7, A_MAIN, j=2),
+    lambda: phi(F7, F7.matrix(1, 1, 0, 1), j=2),
+    lambda: phi(F1, sl2z(1, 0, 1, 1), j=1),
+    lambda: omega(F7, Z, -1),
+    lambda: omega(F1, (0.3 + 1.1j,), 1),
+    lambda: lam(F7, Z, 2),
+    lambda: delta_cocycle(F7, A_MAIN, Z, -1),
+    lambda: delta_cocycle(F1, sl2z(1, 0, 1, 1), (0.3 + 1.1j,), 1),
+])
+def test_embedding_index_must_lie_in_range(call):
+    with pytest.raises(InvalidInput, match="need 0 <= j <"):
+        call()
+
+
 def test_lam_translation_invariance():
     z = (0.2 + 0.7j, 0.4 + 1.1j)
     q = F7.elem(1, 1)

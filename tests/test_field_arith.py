@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hmsums.field_arith import (InvalidInput, NotCoprime, divmod_near,
-                                ext_gcd, identity, kronecker, make_field,
-                                matrix_S, of_gcd)
+from hmsums.field_arith import (InvalidInput, NotCoprime, divide_exact,
+                                divmod_near, ext_gcd, identity, kronecker,
+                                make_field, matrix_S, of_gcd)
 from hmsums.lfunctions import field_zeta
 from oracles import divmod_near_scan, tp_unit, zeta2_siegel
 
@@ -264,6 +264,15 @@ def test_matrix_det_check():
     F = fld(7)
     with pytest.raises(InvalidInput):
         F.matrix(1, 0, 0, 2)
+
+
+def test_unsupported_field_and_inexact_division_are_invalid_input():
+    with pytest.raises(InvalidInput):
+        make_field(4)
+    F = fld(7)
+    with pytest.raises(InvalidInput):
+        divide_exact(F.one, F.elem(2))
+    assert divide_exact(F.elem(6, 2), F.elem(2)) == F.elem(3, 1)
 
 
 # -- the character of F -------------------------------------------------------

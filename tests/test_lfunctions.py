@@ -93,6 +93,17 @@ def test_l_a_rejects_elliptic():
         l_a(matrix_S(F7), 2.0, 100)
 
 
+def test_l_a_rejects_parabolic():
+    with pytest.raises(InvalidInput):
+        l_a(F7.matrix(1, (2, 1), 0, 1), 2.0, 100)
+
+
+@pytest.mark.parametrize("j", [-1, 2])
+def test_eis_dz1_embedding_index_must_lie_in_range(j):
+    with pytest.raises(InvalidInput, match="need 0 <= j <"):
+        eis_dz1(F7, Z2, 2.0, j, FAST)
+
+
 def test_l_a_requires_large_real_part():
     with pytest.raises(InvalidInput):
         l_a(A1, 1.2, 100)

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from hmsums.field_arith import identity, make_field, matrix_S
-from hmsums.quasi_elliptic import (NotElliptic, NotQuasiElliptic, _sign_c_tr,
+from hmsums.quasi_elliptic import (NotClassifiable, NotElliptic,
+                                   NotQuasiElliptic, NotStable, _sign_c_tr,
                                    classify, matrix_from_unit, matrix_order,
                                    psi, psi_elliptic_closed, quasi_data)
-from hmsums.unit_domain import TruncationParams
+from hmsums.unit_domain import InvalidInput, TruncationParams
 from oracles import norm_beta
 
 F1 = make_field(1)
@@ -186,6 +187,20 @@ def test_elliptic_witness_denominator():
 def test_elliptic_closed_rejects_quasi():
     with pytest.raises(NotElliptic):
         psi_elliptic_closed(F7, A1, 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: psi(make_field(2), A1),
+    lambda: psi_elliptic_closed(make_field(2), matrix_S(F7)),
+])
+def test_field_must_be_the_matrix_field(call):
+    with pytest.raises(InvalidInput, match="must lie in"):
+        call()
+
+
+def test_classification_errors_are_invalid_input():
+    for exc in (NotQuasiElliptic, NotElliptic, NotClassifiable, NotStable):
+        assert issubclass(exc, InvalidInput)
 
 
 # -- degree-1 sanity -----------------------------------------------------------
