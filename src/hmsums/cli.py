@@ -72,6 +72,13 @@ def _parse_point(field: FieldData, zs: list) -> tuple:
     return tuple(out)
 
 
+def _count(text: str) -> int:
+    """argparse type of a trial count: an integer >= 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"need a count >= 1, got {text}")
+    return int(text)
+
+
 def _trunc(args) -> TruncationParams:
     return TruncationParams(weight_bound=args.weight_bound,
                             max_terms=args.max_terms)
@@ -138,8 +145,8 @@ def _cmd_la(args):
     A = _parse_matrix(F, args.matrix)
     la = l_a(A, args.s, args.norm_bound, args.max_terms)
     return {"value_re": la.value.real, "value_im": la.value.imag,
-            "tail_error": la.tail_error, "norm_bound": la.norm_bound,
-            "heuristic_tail": la.heuristic_tail, "n_terms": la.n_terms}, True
+            "tail_error": la.tail_error, "norm_bound": args.norm_bound,
+            "heuristic_tail": True, "n_terms": la.n_terms}, True
 
 
 def _cmd_theorem5(args):
@@ -232,7 +239,11 @@ def _cmd_verify(args):
                     break
             z = _rand_point(rng, F.n - 1)
             for p in (_elem(F, v) for v in _HECKE_PRIMES[args.d]):
-                defect = abs(hecke_defect(F, A.d, A.c, z, p, 0, trunc))
+                # T_p's terms s(d - cr, cp; (z + r)/p), at N(p) times the
+                # cost the |N(c)| <= 12 draw bounds, get N(p) times the cap
+                tp = TruncationParams(trunc.weight_bound,
+                                      trunc.max_terms * abs(p.norm()))
+                defect = abs(hecke_defect(F, A.d, A.c, z, p, 0, tp))
                 inputs = {"c": repr(A.c), "d": repr(A.d), "p": repr(p)}
                 cases.append({"trial": trial, "inputs": inputs,
                               "defect": defect})
@@ -300,12 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rademacher", action="store_true")
     p.add_argument("--c", type=int, default=3)
     p.add_argument("--dnum", "--d", dest="dnum", type=int, default=1)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_count, default=100)
 
     p = add("verify", _cmd_verify, "randomized identity campaigns",
             "--d", "--seed", *_TRUNC)
     p.add_argument("what", choices=sorted(_VERIFY_TOLS))
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--trials", type=_count, default=10)
     p.add_argument("--tol", type=float, default=None)   # None: _VERIFY_TOLS
     return ap
 

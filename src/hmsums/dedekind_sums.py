@@ -23,18 +23,17 @@ from dataclasses import dataclass
 from .field_arith import (FieldData, NotCoprime, OFElem, check_field,
                           divide_exact, divmod_near, ext_gcd, kronecker,
                           of_gcd, residues_mod)
-from .eta_engine import (_apex, _insert, _off_indices, _prime_powers, _y_rest,
-                         phi)
+from .eta_engine import (_insert, _off_indices, _prime_powers, _y_rest,
+                         apex_point, check_j, phi)
 from .unit_domain import InvalidInput, TruncationParams
 
 
 def check_zhat(field: FieldData, z_hat: tuple, j: int) -> tuple:
+    check_j(field, j)
     z_hat = tuple(complex(w) for w in z_hat)
-    if not (0 <= j < field.n and len(z_hat) == field.n - 1
-            and all(w.imag > 0 for w in z_hat)):
-        raise InvalidInput(f"need 0 <= j < {field.n} and {field.n - 1} "
-                           f"off-components in the upper half-plane, "
-                           f"got j={j}, {z_hat}")
+    if not (len(z_hat) == field.n - 1 and all(w.imag > 0 for w in z_hat)):
+        raise InvalidInput(f"need {field.n - 1} off-components in the upper "
+                           f"half-plane, got {z_hat}")
     return z_hat
 
 
@@ -72,7 +71,8 @@ def sum_s(field: FieldData, d: OFElem, c: OFElem, z_hat: tuple, j: int = 0,
     a, b = ext_gcd(c, d)
     A = field.matrix(a, b, c, d)
     cj, dj = c.emb(j), d.emb(j)
-    p = phi(field, A, z=_insert(z_hat, j, _apex(c, d, j)), j=j, trunc=trunc)
+    p = phi(field, A, z=_insert(z_hat, j, apex_point(field, A)[j]), j=j,
+            trunc=trunc)
     sgn = 1.0 if cj > 0 else -1.0
     return (-sgn * p + field.kappa / abs(cj)
             * (a.emb(j) * moebius_factor(c, d, z_hat, j)

@@ -25,27 +25,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field_arith import (FieldData, InvalidInput, ModMatrix, OFElem,
-                          check_field, kronecker)
+from .field_arith import (FieldData, InvalidInput, ModMatrix, check_field,
+                          kronecker)
 from .unit_domain import (CapExceeded, TruncationParams, _expand_rows,
                           _half_diamond_rows)
 
 TWO_PI = 2.0 * math.pi
 
 
+def check_j(field: FieldData, j: int) -> None:
+    if not 0 <= j < field.n:
+        raise InvalidInput(f"need 0 <= j < {field.n}, got j={j}")
+
+
 def check_uhp(field: FieldData, z: tuple, j: int) -> tuple:
+    check_j(field, j)
     z = tuple(complex(w) for w in z)
-    if not (0 <= j < field.n and len(z) == field.n
-            and all(w.imag > 0 for w in z)):
-        raise InvalidInput(f"need 0 <= j < {field.n} and {field.n} points in "
-                           f"the upper half-plane, got j={j}, {z}")
+    if not (len(z) == field.n and all(w.imag > 0 for w in z)):
+        raise InvalidInput(f"need {field.n} upper half-plane points, got {z}")
     return z
 
 
 @dataclass(frozen=True)
 class SeriesValue:
+    """A truncated series: its value, a heuristic tail bound, terms summed."""
+
     value: complex
-    tail_estimate: float        # heuristic bound on the truncation error
+    tail_error: float
     n_terms: int
 
 
@@ -289,13 +295,8 @@ def apex_point(field: FieldData, A: ModMatrix) -> tuple:
     of the transformation defect vanishes exactly."""
     if not A.c:
         raise InvalidInput("the apex point requires c != 0")
-    return tuple(_apex(A.c, A.d, k) for k in range(field.n))
-
-
-def _apex(c: OFElem, d: OFElem, k: int) -> complex:
-    """The apex component -d_k/c_k + i/|c_k| (c != 0)."""
-    ck, dk = c.emb(k), d.emb(k)
-    return -dk / ck + 1j / abs(ck)
+    return tuple(-dk / ck + 1j / abs(ck)
+                 for ck, dk in zip(A.c.embeddings(), A.d.embeddings()))
 
 
 def phi(field: FieldData, A: ModMatrix, z: tuple = None, j: int = 0,

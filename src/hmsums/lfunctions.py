@@ -50,7 +50,8 @@ from functools import lru_cache
 import numpy as np
 
 from .field_arith import FieldData, ModMatrix, kronecker
-from .eta_engine import TWO_PI, _insert, _sigma_table, _xi_chunks, check_uhp
+from .eta_engine import (TWO_PI, SeriesValue, _insert, _sigma_table,
+                         _xi_chunks, check_uhp)
 from .quasi_elliptic import QuasiEllipticData, quasi_data, psi, NotQuasiElliptic
 from .unit_domain import (CapExceeded, InvalidInput, TruncationParams,
                           module_orbit_arrays)
@@ -72,32 +73,18 @@ def _kv(v, x):
 
 # -- the partial L-function ---------------------------------------------------
 
-@dataclass(frozen=True)
-class LASeriesValue:
-    """Truncated orbit sum for L_A(s) with a calibrated tail estimate.
-
-    The tail uses the empirically linear growth of the orbit count: the
-    density is measured on [X/2, X] and doubled.  heuristic_tail records
-    that this is a calibration, not a proof.  n_terms counts the orbit
-    representatives summed.
-    """
-
-    s: complex
-    value: complex
-    tail_error: float
-    norm_bound: float
-    heuristic_tail: bool = True
-    n_terms: int = 0
-
-
 def l_a(A: ModMatrix, s: complex, norm_bound: float = 2000.0,
-        max_terms: int = 5_000_000) -> LASeriesValue:
-    """L_A(s) by summation over module orbits with |N(beta)| <= norm_bound."""
+        max_terms: int = TruncationParams.max_terms) -> SeriesValue:
+    """L_A(s) by summation over module orbits with |N(beta)| <= norm_bound.
+
+    n_terms counts the orbit representatives summed.  The tail is a
+    calibration, not a proof: the orbit count grows about linearly, so its
+    density is measured on [X/2, X] and doubled."""
     s = complex(s)
-    if not s.real >= 1.5:
-        raise InvalidInput(f"calibrated tails require Re(s) >= 1.5, got {s}")
-    if not norm_bound >= 1:
-        raise InvalidInput(f"need norm_bound >= 1, got {norm_bound}")
+    if not (1.5 <= s.real < math.inf and math.isfinite(s.imag)):
+        raise InvalidInput(f"need a finite s with Re(s) >= 1.5, got {s}")
+    if not 1 <= norm_bound < math.inf:
+        raise InvalidInput(f"need 1 <= norm_bound < inf, got {norm_bound}")
     data = quasi_data(A)
     X = float(norm_bound)
     orb = module_orbit_arrays(data, X, max_terms)
@@ -111,7 +98,7 @@ def l_a(A: ModMatrix, s: complex, norm_bound: float = 2000.0,
     sigma = s.real
     density = (n_reps - n_half) / (X / 2)
     tail = 2.0 * density * X ** (1 - sigma) / (sigma - 1)
-    return LASeriesValue(s, data.sign_c_tr * total, tail, X, n_terms=n_reps)
+    return SeriesValue(data.sign_c_tr * total, tail, n_reps)
 
 
 # -- Eisenstein series as a divisor sum ---------------------------------------

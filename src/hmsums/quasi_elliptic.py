@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .field_arith import (FieldData, InvalidInput, ModMatrix, OFElem,
                           check_field, identity)
-from .eta_engine import _apex, _insert, _off_indices, phi
+from .eta_engine import _insert, _off_indices, apex_point, check_j, phi
 from .unit_domain import TruncationParams
 
 
@@ -147,31 +147,30 @@ def psi(field: FieldData, A: ModMatrix, j: int = None,
         trunc: TruncationParams = TruncationParams()) -> float:
     """The invariant Psi_j(A) for elliptic or quasi-elliptic A.
 
-    For quasi-elliptic A the hyperbolic index is found automatically; for
-    elliptic A the index j must select the distinguished embedding (default
-    0).  The off-components of the evaluation point are the elliptic fixed
-    points; the distinguished component is irrelevant and chosen to keep the
-    series cheap.
+    For quasi-elliptic A the hyperbolic index and omega_c come from
+    quasi_data; for elliptic A the index j must select the distinguished
+    embedding (default 0).  The off-components of the evaluation point are
+    the elliptic fixed points; the distinguished component is irrelevant and
+    chosen to keep the series cheap.
     """
-    tags = classify(A)
-    if "parabolic" in tags:
-        raise NotClassifiable(f"classification {tags}")
-    n_hyp = tags.count("hyperbolic")
-    if n_hyp > 1:
-        raise NotClassifiable(f"more than one hyperbolic embedding: {tags}")
-    if n_hyp == 1:
-        jj = tags.index("hyperbolic")
-        if j is not None and j != jj:
+    if j is not None:
+        check_j(field, j)
+    try:
+        data = quasi_data(A)
+    except NotQuasiElliptic:
+        tags = classify(A)
+        if set(tags) != {"elliptic"}:
+            raise NotClassifiable(f"classification {tags}") from None
+        j = 0 if j is None else j
+        wc = tuple(_fixed_points(A, k, upper=True)
+                   for k in _off_indices(field.n, j))
+    else:
+        if j not in (None, data.j):
             raise NotQuasiElliptic(
                 "distinguished embedding must be the hyperbolic one")
-        j = jj
-    elif j is None:
-        j = 0
-    wc = tuple(_fixed_points(A, k, upper=True)
-               for k in range(field.n) if k != j)
-    if not A.c:
-        raise NotClassifiable("no finite fixed point (c = 0)")
-    p = phi(field, A, z=_insert(wc, j, _apex(A.c, A.d, j)), j=j, trunc=trunc)
+        j, wc = data.j, data.omega_c
+    p = phi(field, A, z=_insert(wc, j, apex_point(field, A)[j]), j=j,
+            trunc=trunc)
     n, sct = field.n, _sign_c_tr(A, j)
     return (2 ** n) * field.R_F * p - 2 ** (n - 2) * field.R_F * sct
 
@@ -198,6 +197,7 @@ def psi_elliptic_closed(field: FieldData, A: ModMatrix, j: int = 0):
     the exact rational 2 Psi_j / R_F, denominator dividing m.
     """
     check_field(field, A)
+    check_j(field, j)
     tags = classify(A)
     if set(tags) != {"elliptic"}:
         raise NotElliptic(f"classification {tags}")

@@ -248,7 +248,8 @@ def _cell_edges(lo: float, hi: float) -> np.ndarray:
 
 
 def module_orbit_arrays(data, norm_bound: float,
-                        max_terms: int = 5_000_000) -> ModuleOrbits:
+                        max_terms: int = TruncationParams.max_terms
+                        ) -> ModuleOrbits:
     """Representatives of (M \\ 0)/U with |N(beta)| <= norm_bound, as arrays.
 
     M = O_F + omega*O_F is the module attached to quasi-elliptic data; the

@@ -47,6 +47,21 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["phi", "--d", "7", "--matrix", "[[1,0],[0]]"],
+    ["sum", "--dnum", "[1,0]", "--c", "[3,1]", "--z", "0.3+1i", "1i"],
+    ["sum", "--dnum", "[1,0]", "--c", "[3,1]", "--z", "0.3+i1"],
+    ["classical", "--recip", "--c", "4", "--d", "2"],
+    ["verify", "cocycle", "--trials", "0"],
+    ["classical", "--rademacher", "--trials", "0"],
+], ids=["matrix-shape", "point-count", "point-literal", "recip-coprime",
+        "verify-trials", "classical-trials"])
+def test_malformed_arguments_are_usage_errors(capsys, argv):
+    # a trial count below 1 is a usage error, not an empty campaign
+    assert run(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_each_subcommand_lists_the_flags_it_reads(capsys):
     assert sum(len(flags.split()) for flags in FLAGS.values()) == 46
     for cmd, flags in FLAGS.items():
@@ -175,6 +190,12 @@ def test_la_report_fields(capsys):
     assert rep["n_terms"] == 386
 
 
+def test_la_rejects_infinite_norm_bound(capsys):
+    code, rep = capture(capsys, ["la", "--matrix", A1, "--norm-bound", "inf"])
+    assert code == 1
+    assert rep["error"].startswith("InvalidInput: need 1 <= norm_bound")
+
+
 def test_verify_cocycle_campaign(capsys):
     code, rep = capture(capsys, ["verify", "cocycle", "--d", "7",
                                  "--trials", "3", "--seed", "1"])
@@ -200,6 +221,16 @@ def test_verify_hecke_campaign(capsys, D):
     assert code == 0
     assert rep["aggregate"]["max_defect"] < 1e-5
     assert len(rep["cases"]) == 2 * (2 if D in (1, 3) else 3)
+
+
+def test_verify_hecke_cap_scales_with_the_prime(capsys):
+    # trial 9 draws c = 3 - 2w, N(c) = -9: the Hecke terms at p = 4 + w
+    # pass the default cap of one sum_s, which raised CapExceeded here
+    code, rep = capture(capsys, ["verify", "hecke", "--d", "13",
+                                 "--seed", "1"])
+    assert code == 0
+    assert rep["aggregate"]["max_defect"] < 1e-5
+    assert len(rep["cases"]) == 10 * 3
 
 
 def test_theorem5_subcommand(capsys):

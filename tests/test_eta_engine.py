@@ -150,7 +150,7 @@ def test_omega_pinned(z, n_terms, tail, value0, value1):
         sv = omega(F7, z, j, FAST)
         assert sv.n_terms == n_terms
         assert sv.value == pytest.approx(value, rel=1e-12)
-        assert sv.tail_estimate == pytest.approx(tail, rel=1e-15)
+        assert sv.tail_error == pytest.approx(tail, rel=1e-15)
 
 
 def _omega_pairs(F, z, j, B):
@@ -193,7 +193,7 @@ def test_omega_matches_pairwise_sum(D, j, B, p1, p2):
     sv = omega(F, z, j, TruncationParams(weight_bound=B))
     assert sv.n_terms == n_terms
     assert sv.value == pytest.approx(value, rel=1e-12, abs=1e-300)
-    assert sv.tail_estimate == pytest.approx(tail, rel=1e-15)
+    assert sv.tail_error == pytest.approx(tail, rel=1e-15)
 
 
 def _ideal_key(F, m):
@@ -259,24 +259,34 @@ def test_ideal_table_grows_by_doubling(monkeypatch):
 
 
 def test_input_checks_survive_optimize():
-    # a point off the upper half-plane, a zero c, a determinant other than 1,
-    # a zero divisor, a sum across two fields, the unit inverse of 2 and the
-    # residues modulo 0 raise InvalidInput, not AssertionError, so python -O
-    # keeps the checks
+    # a point off the upper half-plane, a zero c (in apex_point, sum_s,
+    # reduce_to_fundamental and delta_cocycle), a determinant other than 1,
+    # a zero divisor, a sum, difference and product across two fields, the
+    # unit inverse of 2, the residues modulo 0, a negative c_j in
+    # reciprocity_rhs and two off-components in degree 2 raise InvalidInput,
+    # not AssertionError, so python -O keeps the checks
     code = ("from hmsums.field_arith import (divmod_near, make_field,\n"
             "                                residues_mod)\n"
-            "from hmsums.dedekind_sums import sum_s\n"
-            "from hmsums.eta_engine import apex_point, omega\n"
+            "from hmsums.dedekind_sums import (check_zhat, reciprocity_rhs,\n"
+            "                                  reduce_to_fundamental, sum_s)\n"
+            "from hmsums.eta_engine import apex_point, delta_cocycle, omega\n"
             "from hmsums.unit_domain import InvalidInput\n"
-            "F = make_field(7)\n"
+            "F, G = make_field(7), make_field(5)\n"
+            "T, zh = F.matrix(1, 1, 0, 1), (0.3 + 1j,)\n"
             "calls = [lambda: omega(F, (0.1 + 0.5j, 0.2 - 0.1j), 0),\n"
-            "         lambda: apex_point(F, F.matrix(1, 1, 0, 1)),\n"
-            "         lambda: sum_s(F, F.one, F.zero, (0.3 + 1j,)),\n"
+            "         lambda: apex_point(F, T),\n"
+            "         lambda: sum_s(F, F.one, F.zero, zh),\n"
+            "         lambda: reduce_to_fundamental(F, F.one, F.zero, zh),\n"
+            "         lambda: delta_cocycle(F, T, (0.3 + 1j, 2j)),\n"
             "         lambda: F.matrix(2, 0, 0, 1),\n"
             "         lambda: divmod_near(F.one, F.zero),\n"
-            "         lambda: F.one + make_field(5).one,\n"
+            "         lambda: F.one + G.one,\n"
+            "         lambda: F.one - G.one,\n"
+            "         lambda: F.one * G.one,\n"
             "         lambda: F.elem(2).inv_unit(),\n"
-            "         lambda: residues_mod(F.zero)]\n"
+            "         lambda: residues_mod(F.zero),\n"
+            "         lambda: reciprocity_rhs(F, F.one, -F.elem(3, 1), zh),\n"
+            "         lambda: check_zhat(F, zh + zh, 0)]\n"
             "for call in calls:\n"
             "    try:\n"
             "        call()\n"
@@ -288,7 +298,7 @@ def test_input_checks_survive_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["raised"] * 8
+    assert out.stdout.split() == ["raised"] * 14
 
 
 @pytest.mark.parametrize("call", [
@@ -437,4 +447,4 @@ def test_phi_upper_triangular():
 def test_tail_estimate_reported():
     sv = omega(F7, (0.3 + 1.0j, 0.1 + 1.2j), 0, FAST)
     assert sv.n_terms > 0
-    assert 0 < sv.tail_estimate < 1e-8
+    assert 0 < sv.tail_error < 1e-8

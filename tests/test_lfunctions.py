@@ -36,7 +36,7 @@ Z2 = (0.2 + 0.9j, -0.3 + 1.2j)
 def test_l_a_value_and_tail():
     la = l_a(A1, 2.0, 2000)
     assert la.value.imag == pytest.approx(0.0, abs=1e-12)
-    assert la.heuristic_tail and la.tail_error > 0
+    assert la.tail_error > 0
     # doubling the bound moves the value by less than the reported tail
     la2 = l_a(A1, 2.0, 4000)
     assert abs(la2.value - la.value) < la.tail_error
@@ -110,13 +110,21 @@ def test_l_a_requires_large_real_part():
     assert issubclass(InvalidInput, ValueError)
 
 
-@pytest.mark.parametrize("norm_bound", [0, 0.5])
+@pytest.mark.parametrize("norm_bound", [0, 0.5, math.inf, math.nan])
 def test_l_a_rejects_norm_bound_below_one(norm_bound):
-    # 0 used to divide by zero in the tail, 0.5 to return 0 with a zero tail
+    # 0 used to divide by zero in the tail, 0.5 to return 0 with a zero
+    # tail, inf to raise OverflowError in the orbit enumeration
     with pytest.raises(InvalidInput):
         l_a(A1, 2.0, norm_bound)
     from hmsums import unit_domain
     assert InvalidInput is unit_domain.InvalidInput
+
+
+@pytest.mark.parametrize("s", [complex(2, math.nan), complex(math.inf, 1)])
+def test_l_a_rejects_non_finite_s(s):
+    # s = 2 + nan*i used to return nan+nanj
+    with pytest.raises(InvalidInput):
+        l_a(A1, s, 100)
 
 
 # -- Eisenstein series ---------------------------------------------------------

@@ -89,6 +89,12 @@ def test_matrix_from_unit_roundtrip():
                             F7.zero, F7.one) == identity(F7)
 
 
+def test_matrix_from_unit_rejects_a_non_unit():
+    # eps = omega + 1 has relative norm 1 - (-2 + sqrt7) = 3 - sqrt7
+    with pytest.raises(NotStable):
+        matrix_from_unit(F7, F7.zero, F7.elem(-2, 1), F7.one, F7.one)
+
+
 # -- the invariant Psi ---------------------------------------------------------
 
 def test_psi_main_value():
@@ -195,6 +201,18 @@ def test_elliptic_closed_rejects_quasi():
 ])
 def test_field_must_be_the_matrix_field(call):
     with pytest.raises(InvalidInput, match="must lie in"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: psi(F7, E3, -1),
+    lambda: psi(F7, E3, 2),
+    lambda: psi(F1, matrix_S(F1), 1),
+    lambda: psi_elliptic_closed(F7, E3, -1),
+    lambda: psi_elliptic_closed(F7, E3, 2),
+])
+def test_embedding_index_must_lie_in_range(call):
+    with pytest.raises(InvalidInput, match="need 0 <= j <"):
         call()
 
 
