@@ -10,8 +10,11 @@ and n-1 complex places.  The normalized special value
     Psi_j(A) = 2^n R_F Phi_j(A, omega_c) - 2^{n-2} R_F sign(c_j tr A_j)
 
 is a conjugation invariant; for elliptic A it is an explicit rational
-multiple of R_F/2, and for quasi-elliptic A it is the logarithm of a
-relative unit of K.
+multiple of R_F/2.  For quasi-elliptic A the tests pin it in closed form only
+for the two worked matrices over Q(sqrt 7), where it is the logarithm of a
+relative unit of a quadratic extension of F.  That does not hold in general:
+for D = 5 and A = [[0, -1], [1, -3 - 4w]], e^Psi has degree 8 (ROADMAP
+item 3).
 """
 
 from __future__ import annotations

@@ -300,7 +300,6 @@ def module_orbit_arrays(data, norm_bound: float,
     u_edges = _cell_edges(-Wu - _EDGE, Wu - _EDGE)
     v_edges = np.zeros(2) if F.n == 1 else \
         _cell_edges(-2 * F.R_F - _EDGE, 2 * F.R_F - _EDGE)
-    n_v = v_edges.size - 1
     # per cell, u-major: the box radii, each widened by _MARGIN in log scale
     U0, V0 = (x.ravel() for x in np.meshgrid(u_edges[:-1], v_edges[:-1],
                                              indexing="ij"))
@@ -338,7 +337,8 @@ def module_orbit_arrays(data, norm_bound: float,
                   _lattice_boxes(F.w_embs, *m_boxes, max_terms))
 
     # the orbit-window tests, as float tests on the computed (u, v), and the
-    # cell test: a point counts only in the cell its (u, v) falls in
+    # cell test: a point counts only in the cell [U0, U1) x [V0, V1) its
+    # (u, v) falls in
     keep = []
     for cell, ma, mb, na, nb in chunks:
         mj, nj = ma + mb * F.w_embs[j], na + nb * F.w_embs[j]
@@ -347,13 +347,13 @@ def module_orbit_arrays(data, norm_bound: float,
         ok = np.nonzero(b1 > 0)[0]
         b1, b2, cell = b1[ok], b2[ok], cell[ok]
         u = np.log(b1) - np.log(np.abs(b2))
-        hit = np.searchsorted(u_edges, u, side="right") - 1 == cell // n_v
+        hit = (U0[cell] <= u) & (u < U1[cell])
         if F.n == 2:
             mk = ma[ok] + mb[ok] * F.w_embs[k]
             nk = na[ok] + nb[ok] * F.w_embs[k]
             bc2 = np.abs(mk + nk * wc) ** 2
             v = np.log(b1 * np.abs(b2)) - np.log(bc2)
-            hit &= np.searchsorted(v_edges, v, side="right") - 1 == cell % n_v
+            hit &= (V0[cell] <= v) & (v < V1[cell])
         sel = ok[hit]
         keep.append((ma[sel], mb[sel], na[sel], nb[sel], b1[hit], b2[hit]))
     ma, mb, na, nb, b1, b2 = _columns(keep, (_NO_INTS,) * 4

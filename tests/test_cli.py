@@ -196,6 +196,13 @@ def test_la_rejects_infinite_norm_bound(capsys):
     assert rep["error"].startswith("InvalidInput: need 1 <= norm_bound")
 
 
+def test_la_rejects_zero_max_terms(capsys):
+    # used to report "CapExceeded: lattice box too large: ..., cap 0"
+    code, rep = capture(capsys, ["la", "--matrix", A1, "--max-terms", "0"])
+    assert code == 1
+    assert rep["error"].startswith("InvalidInput: need an integer max_terms")
+
+
 def test_verify_cocycle_campaign(capsys):
     code, rep = capture(capsys, ["verify", "cocycle", "--d", "7",
                                  "--trials", "3", "--seed", "1"])

@@ -127,6 +127,55 @@ def test_l_a_rejects_non_finite_s(s):
         l_a(A1, s, 100)
 
 
+@pytest.mark.parametrize("max_terms", [0, -1, 2.5])
+def test_l_a_rejects_max_terms_below_one(max_terms):
+    # each used to raise CapExceeded ("lattice box too large") from the
+    # enumeration instead
+    with pytest.raises(InvalidInput, match="max_terms"):
+        l_a(A1, 2.0, 100, max_terms=max_terms)
+
+
+# -- the per-(A, X) orbit data kept across calls -------------------------------
+
+@pytest.mark.parametrize("A", [A1, A1P])
+@pytest.mark.parametrize("X", [2000.0, 8000.0])
+def test_l_a_warm_equals_cold(A, X):
+    for s in (1.5, 2 + 1j, 3.0):
+        lfunctions._orbit_series.cache_clear()
+        cold = l_a(A, s, X)
+        assert lfunctions._orbit_series.cache_info().currsize == 1
+        warm = l_a(A, s, X)
+        assert lfunctions._orbit_series.cache_info().hits == 1
+        assert (warm.value, warm.tail_error, warm.n_terms) \
+            == (cold.value, cold.tail_error, cold.n_terms)
+
+
+def test_l_a_term_cap_still_applies_after_a_cached_call():
+    l_a(A1, 2.0, 2000)
+    with pytest.raises(CapExceeded):
+        l_a(A1, 2.0, 2000, max_terms=50)
+
+
+def test_l_a_cache_is_bounded():
+    info = lfunctions._orbit_series.cache_info
+    pairs = [(A, X) for A in (A1, A1.inv(), -A1, A1P)
+             for X in (10.0, 20.0, 30.0)]
+    assert len(pairs) > info().maxsize
+    for A, X in pairs:
+        l_a(A, 2.0, X)
+        assert info().currsize <= info().maxsize
+    assert info().currsize == info().maxsize
+
+
+def test_l_a_cached_arrays_are_read_only():
+    l_a(A1, 2.0, 100)
+    orb = lfunctions._orbit_series(A1, 100.0, TruncationParams.max_terms)
+    for arr in (orb.log_norm, orb.sign):
+        assert arr.size == orb.n_reps > 0
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
 # -- Eisenstein series ---------------------------------------------------------
 
 def test_eis_positive():

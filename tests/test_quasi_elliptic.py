@@ -131,12 +131,12 @@ def test_psi_conjugation_invariance():
     Ps = [matrix_S(F7), F7.matrix(1, (1, 0), 0, 1) * matrix_S(F7)]
     for P in Ps:
         assert psi(F7, P.inv() * A1 * P, trunc=FAST) \
-            == pytest.approx(base, abs=1e-5)
+            == pytest.approx(base, abs=1e-10)
 
 
 def test_psi_power_doubling():
     base = psi(F7, A1, trunc=FAST)
-    assert psi(F7, A1 * A1, trunc=FAST) == pytest.approx(2 * base, abs=1e-6)
+    assert psi(F7, A1 * A1, trunc=FAST) == pytest.approx(2 * base, abs=1e-10)
 
 
 def test_sign_c_tr_is_exact():
