@@ -15,6 +15,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 from .dedekind_sums import hecke_defect, reciprocity_defect, sum_s
 from .eta_engine import (_insert, apex_point, area_cocycle,
@@ -273,7 +274,10 @@ _FLAGS = {
 _TRUNC = ("--weight-bound", "--max-terms")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: run() parses every
+    command with it, and parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="hmsums", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 

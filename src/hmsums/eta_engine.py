@@ -70,7 +70,7 @@ def _y_rest(z_hat: tuple) -> float:
     return math.prod(w.imag for w in z_hat)
 
 
-# (D, ws) -> (X, start, sigs, r): the tables of _sigma_table.
+# (D, ws) -> (X, start, sigs, r, r_sums): the tables of _sigma_table.
 _SIGMA: dict = {}
 
 
@@ -93,12 +93,20 @@ def _prime_powers(g: int):
 
 def _sigma_table(field: FieldData, ws: tuple, X: int,
                  cap: float = math.inf) -> tuple:
-    """(start, sigs, r) for every m in O_F with N = |N(m)| <= X and content
-    g (1 over Q): sigs[i][start[g] + N // g^2] = sigma_w((m)), the sum of
-    N(b)^w over the ideals b | (m), for w = ws[i] <= 0, and r[n] = sum_{d|n}
-    chi(d), the number of ideals of norm n (1 over Q).  N and g fix (m) up
-    to conjugating split primes.  A larger X rebuilds the table at
-    min(max(X, twice the old), cap).
+    """(start, sigs, r) of _sigma_entry."""
+    return _sigma_entry(field, ws, X, cap)[1:4]
+
+
+def _sigma_entry(field: FieldData, ws: tuple, X: int,
+                 cap: float = math.inf) -> tuple:
+    """(X, start, sigs, r, r_sums) for every m in O_F with N = |N(m)| <= X
+    and content g (1 over Q): sigs[i][start[g] + N // g^2] = sigma_w((m)),
+    the sum of N(b)^w over the ideals b | (m), for w = ws[i] <= 0, and
+    r[n] = sum_{d|n} chi(d), the number of ideals of norm n (1 over Q).
+    N and g fix (m) up to conjugating split primes.  r_sums are the prefix
+    sums of r(n)/n^k, k = 2, 1, 0, for Omega's tail (_prefix_sums).  A
+    larger X rebuilds the table at min(max(X, twice the old), cap); a hit
+    is one dict lookup (ws of ints find the entry of the equal floats).
 
     One float sieve over the divisor pairs N = k e, k <= e, sums k^t and
     chi(k) + chi(e): t = -w for -1 <= w <= 0, exact integers at w = 0, -1,
@@ -107,10 +115,10 @@ def _sigma_table(field: FieldData, ws: tuple, X: int,
     P = p^t, the factor _geom(P, n) becomes _geom(P, k) _geom(P, n-k) for
     split p and _geom(P^2, k) for inert p; P and 1/P give the same ratio.
     """
-    key = (field.D, tuple(float(w) for w in ws))
-    table = _SIGMA.get(key)
+    table = _SIGMA.get((field.D, ws))
     if table is not None and table[0] >= X:
-        return table[1:]
+        return table
+    key = (field.D, tuple(float(w) for w in ws))
     X = max(X, 1) if table is None else int(min(max(X, 2 * table[0]), cap))
     d_F, G, ints = field.d_F, math.isqrt(X), np.arange(X + 1)
     ts = [-w if w >= -1 else w for w in key[1]]
@@ -151,8 +159,36 @@ def _sigma_table(field: FieldData, ws: tuple, X: int,
                     f[k] * f[n - k] if chi[p] > 0 else _geom(P * P, k))
         for sig, val, w, t in zip(sigs, vals, key[1], ts):
             sig[start[g] + 1:start[g + 1]] = val if t == w else val / N ** t
-    _SIGMA[key] = (X, start, sigs, r)
-    return start, sigs, r
+    _SIGMA[key] = table = (X, start, sigs, r, _prefix_sums(r, ints))
+    return table
+
+
+def _prefix_sums(r: np.ndarray, ints: np.ndarray) -> tuple:
+    """(O, W, R0) with sum_{n' <= n} r(n')/n'^k = O[2 - k, n >> 3] +
+    W[2 - k, n] for k = 2, 1 and R0[n] = sum_{n' <= n} r(n'), for Omega's
+    tail; ints = 0, 1, ..., r.size - 1.  W sums the float terms within
+    blocks of 8 entries and O the blocks before, in np.longdouble: each
+    float sum adds at most 8 terms, so it stays within 8 ulps of its exact
+    value (the terms are >= 0), where one float cumsum drifts to 2e-14 over
+    1e5 terms.  The buffers are few: each new array of the table's length
+    costs page faults comparable to computing it."""
+    n = r.size
+    W = np.zeros((2, -(-n // 8) * 8))
+    pos = ints > 0
+    np.divide(r, ints, out=W[1, :n], where=pos)
+    np.divide(W[1, :n], ints, out=W[0, :n], where=pos)
+    blocks = W.reshape(2, -1, 8)
+    for i in range(1, 8):
+        blocks[:, :, i] += blocks[:, :, i - 1]
+    O = np.zeros(blocks.shape[:2], dtype=np.longdouble)
+    np.cumsum(blocks[:, :-1, 7], axis=1, dtype=np.longdouble, out=O[:, 1:])
+    return O, W, np.cumsum(r)
+
+
+def _dot(c: list, v: list):
+    """c_1 v_1 + c_2 v_2 (c_1 v_1 in degree 1) for floats c_k and arrays
+    v_k."""
+    return c[0] * v[0] if len(c) == 1 else c[0] * v[0] + c[1] * v[1]
 
 
 def _xi_chunks(field: FieldData, y, j: int, B: float, max_terms: int):
@@ -161,32 +197,36 @@ def _xi_chunks(field: FieldData, y, j: int, B: float, max_terms: int):
     xi_k, and the content g and N = |N(m)| of m = xi*delta (_sigma_table).
 
     The m form the half-diamond 2 pi (y_1|m_1/delta_1| + y_2|m_2/delta_2|)
-    <= B, sign(delta_j) m_j > 0 (unit_domain._half_diamond_rows); over Q,
-    the row m = 1..floor(B/(2 pi y)) (Python floats: inf at tiny y), capped
-    at max_terms + 1.  Float tests decide each term.  Raises CapExceeded
-    when called, before any point is expanded, for more than max_terms rows
-    or candidates; the chunks come from the returned iterator.
+    <= B, sign(delta_j) m_j > 0, whose rows for the one point y come from
+    unit_domain._half_diamond_rows; over Q, the row m = 1..floor(B/(2 pi y))
+    (Python floats: inf at tiny y), capped at max_terms + 1.
+    unit_domain._expand_rows expands the rows, in one chunk unless they
+    hold more than _CHUNK candidates.  Float tests decide each term.
+    Raises CapExceeded when called, before any point is expanded, for more
+    than max_terms rows or candidates; the chunks come from the returned
+    iterator.
     """
-    d_embs = field.different.embeddings()
+    d_embs, w_embs = field.different_embs, field.w_embs
     if field.n == 1:
         top = math.floor(min(B / (TWO_PI * float(y[0])), max_terms + 1))
-        rows = [np.array([v], dtype=np.int64) for v in (0, 0, 1, top)]
+        rows = np.array([[0], [1], [top]], dtype=np.int64)     # b, lo, hi
     else:
-        scale = [[TWO_PI * yk / abs(dk)] for yk, dk in zip(y, d_embs)]
-        rows = _half_diamond_rows(field.w_embs, *np.array(scale),
-                                  np.sign([d_embs[j]]), j, B, max_terms)
-    n_cand = int(np.maximum(rows[3] - rows[2] + 1, 0).sum())
-    if n_cand > max_terms:
-        raise CapExceeded(f"series exceeds term cap: {n_cand} candidates")
+        rows = _half_diamond_rows(
+            w_embs, TWO_PI * y[0] / abs(d_embs[0]),
+            TWO_PI * y[1] / abs(d_embs[1]), math.copysign(1.0, d_embs[j]),
+            j, B, max_terms)
+    rows = _expand_rows(None, *rows, max_terms, "series exceeds term cap")
 
     def chunks():
-        for _, a, b in _expand_rows(*rows):
-            xi = [(a + b * wk) / dk for wk, dk in zip(field.w_embs, d_embs)]
-            w = TWO_PI * sum(yk * np.abs(xk) for yk, xk in zip(y, xi))
+        for _, a, b in rows:
+            xi = [(a + b * wk) / dk for wk, dk in zip(w_embs, d_embs)]
+            w = TWO_PI * _dot(y, [np.abs(xk) for xk in xi])
             keep = np.nonzero((w <= B) & (xi[j] > 0))[0]
             a, b = a[keep], b[keep]
+            # gcd(b, a): |b| is mostly the smaller, which saves a step of
+            # Euclid's algorithm per term
             g, N = (1, a) if field.n == 1 else \
-                (np.gcd(a, b), np.abs(field.norm(a, b)))
+                (np.gcd(b, a), np.abs(field.norm(a, b)))
             yield [xk[keep] for xk in xi], w[keep], g, N
     return chunks()
 
@@ -209,6 +249,11 @@ def omega(field: FieldData, z: tuple, j: int,
 
     and n_terms, the pairs, is [U_F:U_F^+] sum tau((xi*delta)).  Raises
     CapExceeded for more candidates or pairs than max_terms.
+
+    The tail sums a density over the nu of norm n <= X.  In degree 2 it is
+    a R2[X] + 4 R1[X] with the prefix sums of r(n)/n^2 and r(n)/n that
+    _sigma_entry keeps beside r, so a call pays O(1) for it; over Q the
+    density depends on y, and the n are summed directly.
     """
     z = check_uhp(field, z, j)
     B, idx, cap = trunc.weight_bound, field.unit_index, trunc.max_terms
@@ -225,18 +270,23 @@ def omega(field: FieldData, z: tuple, j: int,
         n_terms += idx * int(tau[key].sum())
         if n_terms > cap:
             raise CapExceeded("series exceeds term cap")
-        phase = TWO_PI * sum(xk * xr for xk, xr in zip(xi, x))
-        total += complex(np.sum(sig[key] * np.exp(1j * phase - w)))
+        phase = TWO_PI * _dot(x, xi)
+        total += complex((sig[key] * np.exp(1j * phase - w)).sum())
     # Dropped terms per nu of norm n: over Q the mu past B; in degree 2 about
     # 2(B+s)/(alpha*beta) in the weight shell [B+s, B+s+1), alpha*beta =
     # 4 pi^2 y_1 y_2 n/d_F.  The nu past the norm cap add e^-B at most each.
-    n = np.arange(1, X + 1)
-    count = idx * _sigma_table(field, (-1, 0), X)[2][1:X + 1]  # nu of norm n
-    dens, shell = (2.0 / (1 - np.exp(-TWO_PI * y[0] * n)), 1.0) \
-        if field.n == 1 else (2.0 * (B + 2.0) * field.d_F / (
-            TWO_PI ** 2 * y[0] * y[1] * n) + 4.0, 1 - math.exp(-1.0))
-    tail = float(np.sum(count * dens / (idx * n))) * math.exp(-B) / shell \
-        + math.exp(-B) * max(1, int(count.sum()))
+    r, (O, W, r0) = _sigma_entry(field, (-1, 0), X)[3:]
+    n_nu = idx * int(r0[X])                         # nu of norm <= X
+    if field.n == 1:
+        n = np.arange(1, X + 1)
+        count = idx * r[1:X + 1]                    # nu of norm n
+        dens = 2.0 / (1 - np.exp(-TWO_PI * y[0] * n))
+        tail = float(np.sum(count * dens / (idx * n))) * math.exp(-B)
+    else:
+        a = 2.0 * (B + 2.0) * field.d_F / (TWO_PI ** 2 * y[0] * y[1])
+        r2, r1 = O[:, X >> 3] + W[:, X]
+        tail = float(a * r2 + 4.0 * r1) * math.exp(-B) / (1 - math.exp(-1.0))
+    tail += math.exp(-B) * max(1, n_nu)
     return SeriesValue(total, tail, n_terms)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 
 class InvalidInput(ValueError):
@@ -99,6 +99,11 @@ class FieldData:
         if self.n == 1:
             return self.one
         return self.elem(-self.norm_form[0], 2)
+
+    @cached_property
+    def different_embs(self) -> tuple:
+        """The real embeddings of `different`, computed once per field."""
+        return self.different.embeddings()
 
     def matrix(self, a, b, c, d) -> "ModMatrix":
         def coerce(x):

@@ -42,7 +42,6 @@ and sigma_w come from eta_engine, whose Omega is the same sum at w = -1.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,7 +55,7 @@ from .eta_engine import (TWO_PI, SeriesValue, _insert, _sigma_table,
                          _xi_chunks, check_uhp)
 from .quasi_elliptic import QuasiEllipticData, quasi_data, psi, NotQuasiElliptic
 from .unit_domain import (CapExceeded, InvalidInput, TruncationParams,
-                          module_orbit_arrays)
+                          check_max_terms, module_orbit_arrays)
 
 
 @lru_cache(maxsize=None)
@@ -122,8 +121,7 @@ def l_a(A: ModMatrix, s: complex, norm_bound: float = 2000.0,
         raise InvalidInput(f"need a finite s with Re(s) >= 1.5, got {s}")
     if not 1 <= norm_bound < math.inf:
         raise InvalidInput(f"need 1 <= norm_bound < inf, got {norm_bound}")
-    if not (isinstance(max_terms, numbers.Integral) and max_terms >= 1):
-        raise InvalidInput(f"need an integer max_terms >= 1, got {max_terms}")
+    check_max_terms(max_terms)
     X = float(norm_bound)
     orb = _orbit_series(A, X, int(max_terms))
     total = complex(np.sum(orb.sign * np.exp(-s * orb.log_norm)))

@@ -1,17 +1,21 @@
 """Truncation caps and lattice enumeration over O_F and the modules of
 quasi-elliptic matrices.
 
-One row kernel, _expand_rows, expands every enumeration here: the boxes of
-_lattice_boxes, the half-diamonds of _half_diamond_rows (the xi of the
-Kronecker-limit-formula sums, through eta_engine._xi_chunks) and the cell
-boxes of module_orbit_arrays, the orbit representatives of L_A.  The
-reference orbit enumerations and representatives of O_F \\ {0} under U_F^+
-and U_F live with the tests (tests/oracles.py).
+One row kernel, _expand_rows, expands every enumeration here and enforces
+its point cap: the boxes of _lattice_boxes, the half-diamond of
+_half_diamond_rows (the xi of the Kronecker-limit-formula sums at one point
+per call, through eta_engine._xi_chunks; its vertices and row range are
+Python floats, its per-row bounds arrays) and the cell boxes of
+module_orbit_arrays, the orbit representatives of L_A.  The kernel expands
+rows that fit in _CHUNK points at once.  The reference orbit enumerations
+and representatives of O_F \\ {0} under U_F^+ and U_F live with the tests
+(tests/oracles.py).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -44,6 +48,14 @@ class CapExceeded(RuntimeError):
     Raised instead of asserting, so the caps survive ``python -O``."""
 
 
+def check_max_terms(max_terms) -> None:
+    """A term cap is an integer (not a bool) at least 1."""
+    if isinstance(max_terms, bool) or not (
+            isinstance(max_terms, numbers.Integral) and max_terms >= 1):
+        raise InvalidInput(f"need an integer max_terms >= 1, got "
+                           f"{max_terms!r}")
+
+
 @dataclass(frozen=True)
 class TruncationParams:
     """Cutoffs for the exponential series.
@@ -57,37 +69,53 @@ class TruncationParams:
     max_terms: int = 5_000_000
 
     def __post_init__(self):
-        if not (0 < self.weight_bound < math.inf and self.max_terms > 0):
-            raise InvalidInput(f"need a finite weight_bound > 0 and "
-                               f"max_terms > 0, got {self.weight_bound}, "
-                               f"{self.max_terms}")
+        if not 0 < self.weight_bound < math.inf:
+            raise InvalidInput(f"need a finite weight_bound > 0, got "
+                               f"{self.weight_bound}")
+        check_max_terms(self.max_terms)
 
 
 _NO_INTS = np.zeros(0, dtype=np.int64)
 
 
-def _ragged_arange(start: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """start[i], start[i] + 1, ..., start[i] + count[i] - 1, concatenated."""
-    offs = np.cumsum(count) - count
-    return np.arange(int(count.sum()), dtype=np.int64) \
-        + np.repeat(start - offs, count)
+def _ragged_arange(start: np.ndarray, count: np.ndarray,
+                   ends: np.ndarray = None) -> np.ndarray:
+    """start[i], start[i] + 1, ..., start[i] + count[i] - 1, concatenated;
+    ends, when given, is count.cumsum()."""
+    ends = count.cumsum() if ends is None else ends
+    return np.arange(ends[-1] if ends.size else 0, dtype=np.int64) \
+        + (start - (ends - count)).repeat(count)
 
 
-def _expand_rows(owner, b, lo, hi):
+def _expand_rows(owner, b, lo, hi, max_terms: int, what: str):
     """The one lattice-row kernel of this module: row i holds the points
-    a + b[i]*w with int64 bounds lo[i] <= a <= hi[i].  Yields int64 arrays
-    (owner, a, b), ordered by row, then a, in chunks of about _CHUNK points
-    (a longer row is a chunk of its own)."""
+    a + b[i]*w with int64 bounds lo[i] <= a <= hi[i].  Returns an iterator
+    of int64 arrays (owner, a, b), ordered by row, then a, in chunks of
+    about _CHUNK points (a longer row is a chunk of its own); rows that fit
+    in one chunk are expanded at once.  owner may be None (one owner), and
+    is then yielded as None.  Raises CapExceeded ("what: N points, cap M")
+    when called, before any point is expanded, for more than max_terms
+    points."""
     cnt = np.maximum(hi - lo + 1, 0)
-    ends = np.cumsum(cnt)
-    start = 0
-    while start < cnt.size:
-        stop = max(start + 1, int(np.searchsorted(
-            ends, ends[start] - cnt[start] + _CHUNK, side="right")))
-        c = cnt[start:stop]
-        yield (np.repeat(owner[start:stop], c),
-               _ragged_arange(lo[start:stop], c), np.repeat(b[start:stop], c))
-        start = stop
+    ends = cnt.cumsum()
+    total = int(ends[-1]) if ends.size else 0
+    if total > max_terms:
+        raise CapExceeded(f"{what}: {total} points, cap {max_terms}")
+
+    def chunks():
+        if cnt.size and total <= _CHUNK:
+            yield (None if owner is None else owner.repeat(cnt),
+                   _ragged_arange(lo, cnt, ends), b.repeat(cnt))
+            return
+        start = 0
+        while start < cnt.size:
+            stop = max(start + 1, int(np.searchsorted(
+                ends, ends[start] - cnt[start] + _CHUNK, side="right")))
+            c = cnt[start:stop]
+            yield (None if owner is None else owner[start:stop].repeat(c),
+                   _ragged_arange(lo[start:stop], c), b[start:stop].repeat(c))
+            start = stop
+    return chunks()
 
 
 def _lattice_boxes(w: tuple, lo1, hi1, lo2, hi2, max_terms: int):
@@ -122,59 +150,62 @@ def _lattice_boxes(w: tuple, lo1, hi1, lo2, hi2, max_terms: int):
                             lo2[owner] - b * w2)).astype(np.int64)
     hi = np.floor(np.minimum(hi1[owner] - b * w1,
                              hi2[owner] - b * w2)).astype(np.int64)
-    total = int(np.maximum(hi - lo + 1, 0).sum())
-    if total > max_terms:
-        raise CapExceeded(f"lattice box too large: {total} points, "
-                          f"cap {max_terms}")
-    yield from _expand_rows(owner, b, lo, hi)
+    yield from _expand_rows(owner, b, lo, hi, max_terms,
+                            "lattice box too large")
 
 
-def _half_diamond_rows(w: tuple, alpha, beta, sign, j: int, bound: float,
-                       max_terms: int):
-    """Rows (owner, b, lo, hi) for _expand_rows covering, for each i, the
-    half-diamond alpha[i]|mu_1| + beta[i]|mu_2| <= bound, sign[i]*mu_j > 0
-    of the points mu = a + b*w (w as in _lattice_boxes).  Raises
-    CapExceeded, before any row is built, for more than max_terms rows or
-    an infinite or undefined row count.
+def _half_diamond_rows(w: tuple, alpha: float, beta: float, sign: float,
+                       j: int, bound: float, max_terms: int):
+    """Rows (b, lo, hi) for _expand_rows (with owner None) covering the
+    half-diamond alpha|mu_1| + beta|mu_2| <= bound, sign*mu_j > 0 of the
+    points mu = a + b*w (w as in _lattice_boxes), for one point: alpha,
+    beta > 0 and sign = +-1 are floats.  Raises CapExceeded, before any row
+    is built, for more than max_terms rows or an infinite or undefined row
+    count.
 
     The rows b lie between its three vertices, since mu_1 - mu_2 =
-    b(w1 - w2); on each, |s a + u| <= bound, |d a + v| <= bound (s, d =
-    alpha +- beta, u, v = b(alpha w1 +- beta w2)) and the sign of mu_j bound
-    a to one interval.  Each end is widened by 1e-9 of the size of the terms it is computed
-    from, far above their rounding error.  The second pair is dropped when
-    |d| < 1e-4 s: it is ill-conditioned there and nearly implied by the row
-    range.  The rows hold every point of the half-diamond and few others,
-    so callers keep their own membership tests.
+    b(w1 - w2); the vertices, the slack and the row range are floats, and
+    only the per-row bounds are arrays.  On each row, |s a + u| <= bound,
+    |d a + v| <= bound (s, d = alpha +- beta, u, v = b(alpha w1 +- beta w2))
+    and the sign of mu_j bound a to one interval.  Each end is widened by
+    1e-9 of the size of the terms it is computed from, far above their
+    rounding error.  The second pair is dropped when |d| < 1e-4 s: it is
+    ill-conditioned there and nearly implied by the row range.  The rows
+    hold every point of the half-diamond and few others, so callers keep
+    their own membership tests.
     """
     w1, w2 = w
     span = w1 - w2
     apex = sign * bound / alpha if j == 0 else -sign * bound / beta
     side = bound / beta if j == 0 else bound / alpha
-    slack = 1e-9 * (np.abs(apex) + side) / span
-    b_lo = np.ceil(np.minimum(apex, -side) / span - slack)
-    nrow = np.maximum(np.floor(np.maximum(apex, side) / span + slack)
-                      - b_lo + 1, 0)
-    if not nrow.sum() <= max_terms:
-        raise CapExceeded(f"series exceeds term cap: {nrow.sum():.3g} rows")
-    nrow = nrow.astype(np.int64)
-    owner = np.repeat(np.arange(nrow.size), nrow)
-    b = _ragged_arange(b_lo.astype(np.int64), nrow)
-    al, be, sg = (np.repeat(x, nrow) for x in (alpha, beta, sign))
-    tol = 1e-9 * (bound + np.abs(b) * (al * abs(w1) + be * abs(w2)))
-    s, d = al + be, al - be
-    u = b * (al * w1 + be * w2)
-    pair = np.abs(d) >= 1e-4 * s
-    d = np.where(pair, d, np.inf)
-    c = -b * (al * w1 - be * w2) / d
-    r = np.where(pair, (bound + tol) / np.abs(d), np.inf)
-    edge = -b * (w1 if j == 0 else w2)
-    e_tol = 1e-9 * np.abs(edge)
-    lo = np.maximum(np.maximum((-u - bound - tol) / s, c - r),
-                    np.where(sg > 0, edge - e_tol, -np.inf))
-    hi = np.minimum(np.minimum((bound + tol - u) / s, c + r),
-                    np.where(sg < 0, edge + e_tol, np.inf))
-    return (owner, b, np.ceil(lo).astype(np.int64),
-            np.floor(hi).astype(np.int64))
+    slack = 1e-9 * (abs(apex) + side) / span
+    first = min(apex, -side) / span - slack
+    last = max(apex, side) / span + slack
+    if not (math.isfinite(first) and math.isfinite(last)):
+        raise CapExceeded(f"series exceeds term cap: {last - first:.3g} rows")
+    first, last = math.ceil(first), math.floor(last)
+    if last - first + 1 > max_terms:
+        raise CapExceeded(f"series exceeds term cap: "
+                          f"{last - first + 1:.3g} rows")
+    b = np.arange(first, max(last + 1, first), dtype=np.int64)
+    # x * -y is -(x * y) exactly, so neg_u is -u and edge is -b w_j
+    tol = 1e-9 * (bound + np.abs(b) * (alpha * abs(w1) + beta * abs(w2)))
+    s, d = alpha + beta, alpha - beta
+    neg_u = b * -(alpha * w1 + beta * w2)
+    b_tol = bound + tol
+    lo = (neg_u - bound - tol) / s
+    hi = (b_tol + neg_u) / s
+    if abs(d) >= 1e-4 * s:
+        c = b * -(alpha * w1 - beta * w2) / d
+        r = b_tol / abs(d)
+        lo = np.maximum(lo, c - r)
+        hi = np.minimum(hi, c + r)
+    edge = b * -(w1 if j == 0 else w2)
+    if sign > 0:
+        lo = np.maximum(lo, edge - 1e-9 * np.abs(edge))
+    else:
+        hi = np.minimum(hi, edge + 1e-9 * np.abs(edge))
+    return b, np.ceil(lo).astype(np.int64), np.floor(hi).astype(np.int64)
 
 
 def _columns(parts: list, empty: tuple) -> tuple:
@@ -284,8 +315,10 @@ def module_orbit_arrays(data, norm_bound: float,
     The output is sorted by n, then m, each by its second coordinate, then
     its first.  Raises CapExceeded when one batch of boxes holds more than
     max_terms candidates; every representative is a candidate, so this
-    caps the representatives too.
+    caps the representatives too, and InvalidInput for a max_terms that
+    is not an integer >= 1.
     """
+    check_max_terms(max_terms)
     F = data.field
     X = math.floor(norm_bound)
     den = abs(data.A.c.norm())

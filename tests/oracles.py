@@ -233,10 +233,9 @@ def eis_direct(field: FieldData, z: tuple, s: float, box: float = 60.0,
     if n == 1:
         lo, hi = np.ceil(lo[:, 0]).astype(np.int64), \
             np.floor(hi[:, 0]).astype(np.int64)
-        if (hi - lo + 1).sum() > max_terms:
-            raise CapExceeded("direct-sum box too large")
         owner = np.arange(len(ctr))
-        chunks = _expand_rows(owner, np.zeros_like(owner), lo, hi)
+        chunks = _expand_rows(owner, np.zeros_like(owner), lo, hi,
+                              max_terms, "direct-sum box too large")
     else:
         chunks = _lattice_boxes(field.w_embs, lo[:, 0], hi[:, 0], lo[:, 1],
                                 hi[:, 1], max_terms)

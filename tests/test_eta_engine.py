@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from hmsums import eta_engine
+from hmsums import eta_engine, unit_domain
 from hmsums.dedekind_sums import hecke_transform
 from hmsums.field_arith import InvalidInput, make_field, matrix_S, residues_mod
 from hmsums.eta_engine import (apex_point, area_cocycle, classical_dedekind_s,
@@ -153,6 +153,18 @@ def test_omega_pinned(z, n_terms, tail, value0, value1):
         assert sv.tail_error == pytest.approx(tail, rel=1e-15)
 
 
+def test_omega_same_in_chunks(monkeypatch):
+    # the xi expanded in chunks of at most 50 candidates (rows of one owner)
+    # give the same terms as one chunk; only the summation order moves
+    z = OMEGA_PINNED[0][0]
+    whole = omega(F7, z, 1, FAST)
+    monkeypatch.setattr(unit_domain, "_CHUNK", 50)
+    parts = omega(F7, z, 1, FAST)
+    assert parts.n_terms == whole.n_terms
+    assert parts.tail_error == whole.tail_error
+    assert parts.value == pytest.approx(whole.value, rel=1e-13)
+
+
 def _omega_pairs(F, z, j, B):
     """Omega_j(z) as its defining double sum: for each nu in
     (O_F \\ 0)/U_F^+ with |N(nu)| <= nu_cap, every mu with
@@ -194,6 +206,51 @@ def test_omega_matches_pairwise_sum(D, j, B, p1, p2):
     assert sv.n_terms == n_terms
     assert sv.value == pytest.approx(value, rel=1e-12, abs=1e-300)
     assert sv.tail_error == pytest.approx(tail, rel=1e-15)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 13]), st.sampled_from([0, 1]),
+       st.sampled_from([12.0, 20.0]), st.floats(-1, 1),
+       st.one_of(st.just(0.0), st.floats(-6, 6)),
+       st.tuples(st.floats(-1, 1), st.floats(-1, 1)))
+@example(7, 1, 20.0, 0.0, 0.0, (0.1, 0.2))
+@example(13, 0, 20.0, 0.5, 6.0, (0.3, -0.4))
+@example(2, 1, 20.0, 0.5, -6.0, (-0.7, 0.9))
+def test_omega_matches_pairwise_sum_at_skew_and_ties(D, j, B, m, skew, x):
+    # the half-diamond rows at their edges: heights skewed up to
+    # |ln(y_0/y_1)| = 6, and exact ties y_0 = y_1, where alpha = beta and
+    # the rows drop their ill-conditioned second pair of bounds
+    F = make_field(D)
+    y = (math.exp(m),) * 2 if skew == 0 else \
+        (math.exp(m + skew / 2), math.exp(m - skew / 2))
+    z = tuple(complex(xk, yk) for xk, yk in zip(x, y))
+    value, tail, n_terms = _omega_pairs(F, z, j, B)
+    sv = omega(F, z, j, TruncationParams(weight_bound=B))
+    assert sv.n_terms == n_terms
+    assert sv.value == pytest.approx(value, rel=1e-12, abs=1e-300)
+    assert sv.tail_error == pytest.approx(tail, rel=1e-15)
+
+
+def test_omega_tail_prefix_sums_match_direct_sum(monkeypatch):
+    # Omega's degree-2 tail reads the prefix sums of r(n)/n^2 and r(n)/n
+    # kept with the ideal table; at a norm cap X one past the table's
+    # bound (40 -> 80, doubled) and one past twice the new bound (161) it
+    # equals the density summed over n <= X directly
+    monkeypatch.setattr(eta_engine, "_SIGMA", {})
+    F, B, key = F7, 30.0, (7, (-1.0, 0.0))
+    eta_engine._sigma_table(F, (-1, 0), 40)
+    c = (B / (4 * math.pi)) ** 2 * F.d_F
+    for X, size in ((41, 80), (161, 161)):
+        y = math.sqrt(c / (X + 0.5))            # norm cap floor(X + 0.5)
+        sv = omega(F, (0.1 + 1j * y, 0.3 + 1j * y), 0, FAST)
+        assert eta_engine._SIGMA[key][0] == size
+        r = eta_engine._sigma_table(F, (-1, 0), X)[2]
+        n = np.arange(1, X + 1)
+        a = 2.0 * (B + 2.0) * F.d_F / ((2 * math.pi) ** 2 * y * y)
+        direct = math.fsum(r[1:X + 1] * (a / n + 4.0) / n) \
+            * math.exp(-B) / (1 - math.exp(-1.0)) \
+            + math.exp(-B) * F.unit_index * int(r[1:X + 1].sum())
+        assert sv.tail_error == pytest.approx(direct, rel=1e-15)
 
 
 def _ideal_key(F, m):
@@ -263,10 +320,15 @@ def test_input_checks_survive_optimize():
     # reduce_to_fundamental and delta_cocycle), a determinant other than 1,
     # a zero divisor, a sum, difference and product across two fields, the
     # unit inverse of 2, the residues modulo 0, a negative c_j in
-    # reciprocity_rhs and two off-components in degree 2 raise InvalidInput,
-    # not AssertionError, so python -O keeps the checks
+    # reciprocity_rhs, two off-components in degree 2, and a term cap that
+    # is a float, a bool or zero (in TruncationParams and
+    # module_orbit_arrays) raise InvalidInput, not AssertionError, so
+    # python -O keeps the checks
     code = ("from hmsums.field_arith import (divmod_near, make_field,\n"
             "                                residues_mod)\n"
+            "from hmsums.quasi_elliptic import quasi_data\n"
+            "from hmsums.unit_domain import (TruncationParams,\n"
+            "                                module_orbit_arrays)\n"
             "from hmsums.dedekind_sums import (check_zhat, reciprocity_rhs,\n"
             "                                  reduce_to_fundamental, sum_s)\n"
             "from hmsums.eta_engine import apex_point, delta_cocycle, omega\n"
@@ -286,7 +348,13 @@ def test_input_checks_survive_optimize():
             "         lambda: F.elem(2).inv_unit(),\n"
             "         lambda: residues_mod(F.zero),\n"
             "         lambda: reciprocity_rhs(F, F.one, -F.elem(3, 1), zh),\n"
-            "         lambda: check_zhat(F, zh + zh, 0)]\n"
+            "         lambda: check_zhat(F, zh + zh, 0),\n"
+            "         lambda: TruncationParams(30.0, 2.5),\n"
+            "         lambda: TruncationParams(20.0, True),\n"
+            "         lambda: TruncationParams(20.0, 0)]\n"
+            "A1 = quasi_data(F.matrix((-2, -1), (1, 1), (3, 1), (-2, -1)))\n"
+            "for c in (0, 55.5, True):\n"
+            "    calls.append(lambda c=c: module_orbit_arrays(A1, 100.0, c))\n"
             "for call in calls:\n"
             "    try:\n"
             "        call()\n"
@@ -298,7 +366,7 @@ def test_input_checks_survive_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["raised"] * 14
+    assert out.stdout.split() == ["raised"] * 20
 
 
 @pytest.mark.parametrize("call", [

@@ -155,22 +155,25 @@ def test_lattice_boxes_match_brute_force(w, monkeypatch):
 
 
 def _half_diamond_points(F, alpha, beta, sign, j, bound):
-    """The rows' points and the row count, and the same diamonds by brute
-    force: the whole box |mu_1| <= bound/alpha, |mu_2| <= bound/beta with
-    the weight and sign tests."""
-    rows = unit_domain._half_diamond_rows(F.w_embs, alpha, beta, sign, j,
-                                          bound, 10 ** 6)
-    cand = [(int(i), int(a), int(b))
-            for part in unit_domain._expand_rows(*rows)
-            for i, a, b in zip(*part)]
-    brute = set()
+    """The rows' points (i, a, b) of each diamond i and the row count, and
+    the same diamonds by brute force: the whole box |mu_1| <= bound/alpha,
+    |mu_2| <= bound/beta with the weight and sign tests."""
+    cand, n_rows, brute = [], 0, set()
     for i in range(alpha.size):
+        rows = unit_domain._half_diamond_rows(
+            F.w_embs, float(alpha[i]), float(beta[i]), float(sign[i]), j,
+            bound, 10 ** 6)
+        n_rows += rows[0].size
+        cand += [(i, int(a), int(b))
+                 for _, a_s, b_s in unit_domain._expand_rows(
+                     None, *rows, 10 ** 7, "rows")
+                 for a, b in zip(a_s, b_s)]
         A, B, e1, e2, _ = _box(F, bound / alpha[i], bound / beta[i],
                                10 ** 7)
         keep = (alpha[i] * np.abs(e1) + beta[i] * np.abs(e2) <= bound) \
             & (sign[i] * (e1 if j == 0 else e2) > 0)
         brute |= {(i, int(a), int(b)) for a, b in zip(A[keep], B[keep])}
-    return cand, rows[0].size, brute
+    return cand, n_rows, brute
 
 
 @settings(max_examples=150, deadline=None)
