@@ -38,12 +38,20 @@ def check_j(field: FieldData, j: int) -> None:
         raise InvalidInput(f"need 0 <= j < {field.n}, got j={j}")
 
 
+class _UHPPoint(tuple):
+    """A point that check_uhp has passed: complex components, each in the
+    upper half-plane.  The public functions that call one another on the
+    same point (phi, delta_cocycle, lam, omega) check it only once."""
+
+
 def check_uhp(field: FieldData, z: tuple, j: int) -> tuple:
     check_j(field, j)
+    if type(z) is _UHPPoint and len(z) == field.n:
+        return z
     z = tuple(complex(w) for w in z)
     if not (len(z) == field.n and all(w.imag > 0 for w in z)):
         raise InvalidInput(f"need {field.n} upper half-plane points, got {z}")
-    return z
+    return _UHPPoint(z)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ One row kernel, _expand_rows, expands every enumeration here and enforces
 its point cap: the boxes of _lattice_boxes, the half-diamond of
 _half_diamond_rows (the xi of the Kronecker-limit-formula sums at one point
 per call, through eta_engine._xi_chunks; its vertices and row range are
-Python floats, its per-row bounds arrays) and the cell boxes of
+Python floats, its per-row bounds arrays) and the per-n boxes of
 module_orbit_arrays, the orbit representatives of L_A.  The kernel expands
 rows that fit in _CHUNK points at once.  The reference orbit enumerations
 and representatives of O_F \\ {0} under U_F^+ and U_F live with the tests
@@ -30,11 +30,12 @@ _EDGE = 1e-9
 # Candidate points the box kernel expands at once; bounds its working memory.
 _CHUNK = 2_000_000
 
-# Width, in log coordinates, of the cells that tile the module-orbit window.
+# Width, in log coordinates, of the cells that tile the module-orbit v-window.
 _CELL = 2.0
 
-# Widening of every cell box, in log coordinates: far above the rounding
-# error of the computed (u, v), so each point lies inside its cell's box.
+# Widening of the module-orbit window and norm bounds in log coordinates, and
+# of every box relative to its size: far above the rounding error of the
+# computed (u, v) and of the box ends, so each representative lies in a box.
 _MARGIN = 1e-6
 
 # Largest value the exact-norm arithmetic may meet in int64; beyond it the
@@ -278,6 +279,49 @@ def _cell_edges(lo: float, hi: float) -> np.ndarray:
     return np.linspace(lo, hi, max(1, round((hi - lo) / _CELL)) + 1)
 
 
+def _beta_r1_boxes(delta, P, e0: float, e1: float) -> tuple:
+    """Boxes [lo, hi], at most three a row, holding every t = beta_r1 > 0
+    with beta_r2 = t - delta, e0 <= |beta_r1 / beta_r2| <= e1 (e0 < 1 < e1)
+    and |beta_r1 beta_r2| <= P, for arrays delta and P.  Returns (N, 3)
+    arrays lo, hi; an empty box has lo > hi.
+
+    beta_r2 > 0: t >= max(delta, 0), the ratio gives t >= -e0 delta/(1-e0)
+    and t >= e1 delta/(e1-1), and t(t - delta) <= P gives
+    t <= (delta + sqrt(delta^2 + 4P))/2.  beta_r2 < 0: 0 < t < delta, the
+    ratio gives e0 delta/(1+e0) <= t <= e1 delta/(1+e1), and t(delta - t)
+    <= P removes the open gap between the roots (delta -+ sqrt(delta^2 -
+    4P))/2 when delta^2 > 4P.  Each box reaches pad = _MARGIN (|delta| +
+    sqrt P) past its ends, and boxes of a row that come within pad of each
+    other are merged, so the boxes of a row are more than pad apart.
+    """
+    d2 = delta * delta
+    root = np.sqrt(np.maximum(d2 - 4 * P, 0.0))
+    split = d2 > 4 * P
+    gap_lo = np.where(split, (delta - root) / 2, np.inf)
+    gap_hi = np.where(split, (delta + root) / 2, np.inf)
+    neg_lo = np.maximum(e0 * delta / (1 + e0), 0.0)
+    neg_hi = np.minimum(e1 * delta / (1 + e1), delta)
+    pos_lo = np.maximum(np.maximum(delta, 0.0), np.maximum(
+        -e0 * delta / (1 - e0), e1 * delta / (e1 - 1)))
+    pos_hi = (delta + np.sqrt(d2 + 4 * P)) / 2
+    pad = _MARGIN * (np.abs(delta) + np.sqrt(P))
+    lo = np.stack([neg_lo, np.maximum(neg_lo, gap_hi), pos_lo], 1) \
+        - pad[:, None]
+    hi = np.stack([np.minimum(neg_hi, gap_lo), neg_hi, pos_hi], 1) \
+        + pad[:, None]
+    # sorted by lo, empty boxes last, then swept: a box within pad of the
+    # one before becomes their hull, and the one before is emptied
+    lo[lo > hi] = np.inf
+    order = np.argsort(lo, axis=1)
+    lo, hi = np.take_along_axis(lo, order, 1), np.take_along_axis(hi, order, 1)
+    for i in (0, 1):
+        join = lo[:, i + 1] <= hi[:, i] + pad
+        hi[join, i + 1] = np.maximum(hi[join, i], hi[join, i + 1])
+        lo[join, i + 1] = lo[join, i]
+        lo[join, i] = np.inf
+    return lo, hi
+
+
 def module_orbit_arrays(data, norm_bound: float,
                         max_terms: int = TruncationParams.max_terms
                         ) -> ModuleOrbits:
@@ -292,24 +336,36 @@ def module_orbit_arrays(data, norm_bound: float,
     [-Wu, Wu) x [-Wv, Wv) (nudged by _EDGE) pick the representative, and
     beta_r1 > 0 folds the sign.
 
-    Cell covering.  The window is tiled by cells [u0, u1) x [v0, v1) about
-    _CELL wide.  On a cell, with P = |beta_r1 beta_r2|, T = ln X and
-    ln|N| = ln P + 2 ln|beta_c|, every representative satisfies
-    ln P <= (T + v1)/2, |beta_r1| <= e^((ln P + u1)/2),
-    |beta_r2| <= e^((ln P - u0)/2) and |beta_c| <= e^((T - v0)/4).  These
-    bounds, widened by _MARGIN in log coordinates, give the cell's box: an
-    n-box for the coefficient n, since beta_r1 - beta_r2 = n_j(omega_r1 -
-    omega_r2) and Im beta_c = n_k Im omega_c, and for each n an m-box
-    (over Q, one box in (m, n) directly).  The computed (u, v) of a point
-    differs from the exact one by rounding error only (at most 2e-14 over
-    the representatives of the worked matrices at X = 8000, against 40-digit
+    Covering.  The v-window is tiled by cells [v0, v1) about _CELL wide
+    (one cell, and no v, over Q).  On a cell, with P = |beta_r1 beta_r2|,
+    T = ln X and ln|N| = ln P + 2 ln|beta_c|, every representative has
+    ln P <= (T + v1)/2 (ln P <= T over Q) and |beta_c| <= e^((T - v0)/4).
+    The u-window needs no cells, since beta_r1 - beta_r2 = delta =
+    n_j(omega_r1 - omega_r2) is fixed by n.  delta is 2 sqrt(P) sinh(u/2)
+    when beta_r2 > 0 and 2 sqrt(P) cosh(u/2) when beta_r2 < 0, so the
+    n-box of a cell is delta in [2 sqrt(P) sinh(-Wu/2), 2 sqrt(P)
+    cosh(Wu/2)] and, since Im beta_c = n_k Im omega_c,
+    |n_k| <= |beta_c|/Im omega_c.  For each n, u in the window and the
+    bound on P hold t = beta_r1 to at most three intervals in closed form
+    (_beta_r1_boxes), each an m-box: m_j = t - n_j omega_r1, and m_k within
+    the beta_c disk (over Q, a row of m).
+
+    Margins.  The u-window and P enter these bounds widened by _MARGIN in
+    log coordinates, and every box end moves out by a further
+    _MARGIN (|delta| + sqrt P).  The computed (u, v) of a point differs
+    from the exact one by rounding error only (at most 2e-14 over the
+    representatives of the worked matrices at X = 8000, against 40-digit
     values), far below _MARGIN, so every representative whose computed
-    (u, v) falls in a cell lies inside that cell's box.  A point is kept
-    only in the cell its computed (u, v) falls in; the cells are disjoint
-    and cover the window, so no representative is lost or found twice.  The
-    window tests are the float tests of the orbit windows, and the norm
-    bound is decided exactly: |N_F(c N_{K/F}(beta))| <= floor(X) |N_F(c)|
-    in integers.
+    (u, v) passes the window tests lies in the exact intervals of the
+    widened window.  The computed box ends are a few roundings from those
+    intervals relative to |delta| + sqrt P.  The worst is the root split
+    near delta^2 = 4P, where the square root of a cancelling difference
+    errs by about 1e-8 |delta|, still far below the second widening.  The
+    boxes of one n and cell are more than that widening apart, so a point
+    is enumerated at most once per cell.  It is kept only in the cell its
+    computed v falls in, and only when its computed u is in the window, so
+    no representative is lost or found twice.  The norm bound is decided
+    exactly: |N_F(c N_{K/F}(beta))| <= floor(X) |N_F(c)| in integers.
 
     Candidates run through the box kernel in chunks of about _CHUNK points.
     The output is sorted by n, then m, each by its second coordinate, then
@@ -328,69 +384,82 @@ def module_orbit_arrays(data, norm_bound: float,
     T = math.log(X)
     j, k = data.j, 1 - data.j
     r1, r2 = data.omega_r1, data.omega_r2
+    span = r1 - r2
     wc = data.omega_c[0] if F.n == 2 else None
     Wu = abs(math.log(abs(data.eps_r1)))
-    u_edges = _cell_edges(-Wu - _EDGE, Wu - _EDGE)
-    v_edges = np.zeros(2) if F.n == 1 else \
-        _cell_edges(-2 * F.R_F - _EDGE, 2 * F.R_F - _EDGE)
-    # per cell, u-major: the box radii, each widened by _MARGIN in log scale
-    U0, V0 = (x.ravel() for x in np.meshgrid(u_edges[:-1], v_edges[:-1],
-                                             indexing="ij"))
-    U1, V1 = (x.ravel() for x in np.meshgrid(u_edges[1:], v_edges[1:],
-                                             indexing="ij"))
-    lnP = (T + V1) / 2 if F.n == 2 else np.full(U0.shape, T)
-    M1 = np.exp((lnP + U1) / 2 + _MARGIN)
-    M2 = np.exp((lnP - U0) / 2 + _MARGIN)
-    lo_r1 = -_MARGIN * M1               # beta_r1 > 0, with a margin
-
+    U0, U1 = -Wu - _EDGE, Wu - _EDGE
+    # per v-cell: P, the bound on |beta_r1 beta_r2|, widened by _MARGIN in
+    # log scale, and the points of a batch of boxes in the j-coordinate and,
+    # in degree 2, the k-coordinate of m or n
     if F.n == 1:
-        # beta = m + n*omega with m, n in Z: one box per cell in (m, n)
-        chunks = ((cell, ma, np.zeros_like(ma), nb, np.zeros_like(nb))
-                  for cell, ma, nb in _lattice_boxes(
-                      (r1, r2), lo_r1, M1, -M2, M2, max_terms))
+        P = np.full(1, math.exp(T + _MARGIN))
+
+        def points(box_j, box_k):
+            # over Q, m and n are integers: one row per box, its size
+            # checked in floats before the ends are cast to int64
+            lo, hi = np.ceil(box_j[0]), np.floor(box_j[1])
+            total = np.maximum(hi - lo + 1, 0).sum()
+            if total > max_terms:
+                raise CapExceeded(f"lattice box too large: {total:.0f} "
+                                  f"points, cap {max_terms}")
+            rows = np.arange(lo.size)
+            return _expand_rows(rows, np.zeros_like(rows), lo.astype(np.int64),
+                                hi.astype(np.int64), max_terms,
+                                "lattice box too large")
     else:
+        v_edges = _cell_edges(-2 * F.R_F - _EDGE, 2 * F.R_F - _EDGE)
+        V0, V1 = v_edges[:-1], v_edges[1:]
+        P = np.exp((T + V1) / 2 + _MARGIN)
         M3 = np.exp((T - V0) / 4 + _MARGIN)
 
-        def by_embedding(box_j, box_k):
-            return box_j + box_k if j == 0 else box_k + box_j
+        def points(box_j, box_k):
+            return _lattice_boxes(F.w_embs, *(box_j + box_k if j == 0
+                                              else box_k + box_j), max_terms)
 
-        span = r1 - r2
-        n_cell, n_a, n_b = _columns(list(_lattice_boxes(
-            F.w_embs, *by_embedding(((lo_r1 - M2) / span, (M1 + M2) / span),
-                                    (-M3 / wc.imag, M3 / wc.imag)),
-            max_terms)), (_NO_INTS,) * 3)
-        c = n_cell
-        nj, nk = n_a + n_b * F.w_embs[j], n_a + n_b * F.w_embs[k]
-        h = np.sqrt(np.maximum(M3[c] ** 2 - (nk * wc.imag) ** 2, 0.0))
-        m_boxes = by_embedding(
-            (np.maximum(lo_r1[c] - nj * r1, -M2[c] - nj * r2),
-             np.minimum(M1[c] - nj * r1, M2[c] - nj * r2)),
-            (-nk * wc.real - h, -nk * wc.real + h))
-        chunks = ((n_cell[i], ma, mb, n_a[i], n_b[i]) for i, ma, mb in
-                  _lattice_boxes(F.w_embs, *m_boxes, max_terms))
+    # the delta-range, widened: |u| <= Wu + _EDGE bounds the window
+    half = (Wu + _EDGE + _MARGIN) / 2
+    d_lo, d_hi = -2 * np.sqrt(P) * math.sinh(half), \
+        2 * np.sqrt(P) * math.cosh(half)
+    n_cell, n_a, n_b = _columns(list(points(
+        ((d_lo - _MARGIN * d_hi) / span, (d_hi + _MARGIN * d_hi) / span),
+        None if F.n == 1 else (-M3 / wc.imag, M3 / wc.imag))),
+        (_NO_INTS,) * 3)
+    nj = n_a + n_b * F.w_embs[j]
+    lo, hi = _beta_r1_boxes(nj * span, P[n_cell], math.exp(U0 - _MARGIN),
+                            math.exp(U1 + _MARGIN))
+    box_n, col = np.nonzero(lo <= hi)
+    # per box: its v-cell and the terms of beta that n fixes, each computed
+    # as it would be for every point
+    cell, nj = n_cell[box_n], nj[box_n]
+    shift, shift2 = nj * r1, nj * r2
+    mk_box = None
+    if F.n == 2:
+        nk = (n_a + n_b * F.w_embs[k])[box_n]
+        h = np.sqrt(np.maximum(M3[cell] ** 2 - (nk * wc.imag) ** 2, 0.0))
+        mk_box = (-nk * wc.real - h, -nk * wc.real + h)
+        nk_wc, v0, v1 = nk * wc, V0[cell], V1[cell]
 
     # the orbit-window tests, as float tests on the computed (u, v), and the
-    # cell test: a point counts only in the cell [U0, U1) x [V0, V1) its
-    # (u, v) falls in
+    # cell test: a point counts only in the v-cell [v0, v1) its v falls in
     keep = []
-    for cell, ma, mb, na, nb in chunks:
-        mj, nj = ma + mb * F.w_embs[j], na + nb * F.w_embs[j]
-        b1 = mj + nj * r1
-        b2 = mj + nj * r2
+    for i, ma, mb in points((lo[box_n, col] - shift, hi[box_n, col] - shift),
+                            mk_box):
+        mj = ma + mb * F.w_embs[j]
+        b1 = mj + shift[i]
+        b2 = mj + shift2[i]
         ok = np.nonzero(b1 > 0)[0]
-        b1, b2, cell = b1[ok], b2[ok], cell[ok]
+        b1, b2, i = b1[ok], b2[ok], i[ok]
         u = np.log(b1) - np.log(np.abs(b2))
-        hit = (U0[cell] <= u) & (u < U1[cell])
+        hit = (U0 <= u) & (u < U1)
         if F.n == 2:
             mk = ma[ok] + mb[ok] * F.w_embs[k]
-            nk = na[ok] + nb[ok] * F.w_embs[k]
-            bc2 = np.abs(mk + nk * wc) ** 2
+            bc2 = np.abs(mk + nk_wc[i]) ** 2
             v = np.log(b1 * np.abs(b2)) - np.log(bc2)
-            hit &= (V0[cell] <= v) & (v < V1[cell])
+            hit &= (v0[i] <= v) & (v < v1[i])
         sel = ok[hit]
-        keep.append((ma[sel], mb[sel], na[sel], nb[sel], b1[hit], b2[hit]))
-    ma, mb, na, nb, b1, b2 = _columns(keep, (_NO_INTS,) * 4
-                                      + (np.zeros(0),) * 2)
+        keep.append((ma[sel], mb[sel], box_n[i[hit]], b1[hit], b2[hit]))
+    ma, mb, n, b1, b2 = _columns(keep, (_NO_INTS,) * 3 + (np.zeros(0),) * 2)
+    na, nb = n_a[n], n_b[n]
     num = _rel_norms(data, ma, mb, na, nb)
     sel = np.nonzero(num <= X * den)[0]
     sel = sel[np.lexsort((ma[sel], mb[sel], na[sel], nb[sel]))]

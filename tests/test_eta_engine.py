@@ -322,8 +322,9 @@ def test_input_checks_survive_optimize():
     # unit inverse of 2, the residues modulo 0, a negative c_j in
     # reciprocity_rhs, two off-components in degree 2, and a term cap that
     # is a float, a bool or zero (in TruncationParams and
-    # module_orbit_arrays) raise InvalidInput, not AssertionError, so
-    # python -O keeps the checks
+    # module_orbit_arrays), a point off the upper half-plane in lam and phi,
+    # and an image point Az that underflows off it in delta_cocycle raise
+    # InvalidInput, not AssertionError, so python -O keeps the checks
     code = ("from hmsums.field_arith import (divmod_near, make_field,\n"
             "                                residues_mod)\n"
             "from hmsums.quasi_elliptic import quasi_data\n"
@@ -331,7 +332,8 @@ def test_input_checks_survive_optimize():
             "                                module_orbit_arrays)\n"
             "from hmsums.dedekind_sums import (check_zhat, reciprocity_rhs,\n"
             "                                  reduce_to_fundamental, sum_s)\n"
-            "from hmsums.eta_engine import apex_point, delta_cocycle, omega\n"
+            "from hmsums.eta_engine import (apex_point, delta_cocycle, lam,\n"
+            "                               omega, phi)\n"
             "from hmsums.unit_domain import InvalidInput\n"
             "F, G = make_field(7), make_field(5)\n"
             "T, zh = F.matrix(1, 1, 0, 1), (0.3 + 1j,)\n"
@@ -351,7 +353,11 @@ def test_input_checks_survive_optimize():
             "         lambda: check_zhat(F, zh + zh, 0),\n"
             "         lambda: TruncationParams(30.0, 2.5),\n"
             "         lambda: TruncationParams(20.0, True),\n"
-            "         lambda: TruncationParams(20.0, 0)]\n"
+            "         lambda: TruncationParams(20.0, 0),\n"
+            "         lambda: lam(F, (0.1 + 0.5j, -0.1j)),\n"
+            "         lambda: phi(F, F.matrix(0, -1, 1, 0), (1j, -2j)),\n"
+            "         lambda: delta_cocycle(F, F.matrix(1, 0, 1, 1),\n"
+            "                               (1e15 + 1e-300j, 1j))]\n"
             "A1 = quasi_data(F.matrix((-2, -1), (1, 1), (3, 1), (-2, -1)))\n"
             "for c in (0, 55.5, True):\n"
             "    calls.append(lambda c=c: module_orbit_arrays(A1, 100.0, c))\n"
@@ -366,7 +372,7 @@ def test_input_checks_survive_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["raised"] * 20
+    assert out.stdout.split() == ["raised"] * 23
 
 
 @pytest.mark.parametrize("call", [
@@ -411,6 +417,35 @@ def test_field_must_be_the_matrix_field(call):
 def test_embedding_index_must_lie_in_range(call):
     with pytest.raises(InvalidInput, match="need 0 <= j <"):
         call()
+
+
+def test_points_checked_once_per_public_call(monkeypatch):
+    # phi, delta_cocycle, lam, h_func and omega call one another on points
+    # already checked and skip the check there: phi and delta_cocycle
+    # validate z and the image point Az, the others z
+    fresh = []
+    check = eta_engine.check_uhp
+
+    def counting(field, z, j):
+        fresh.append(type(z) is not eta_engine._UHPPoint)
+        return check(field, z, j)
+
+    monkeypatch.setattr(eta_engine, "check_uhp", counting)
+    for call, points in ((lambda: phi(F7, A_MAIN, trunc=FAST), 2),
+                         (lambda: phi(F7, A_MAIN, z=Z, trunc=FAST), 2),
+                         (lambda: delta_cocycle(F7, A_MAIN, Z, 0, FAST), 2),
+                         (lambda: lam(F7, Z, 1, FAST), 1),
+                         (lambda: h_func(F7, Z, 0, FAST), 1),
+                         (lambda: omega(F7, Z, 0, FAST), 1)):
+        fresh.clear()
+        call()
+        assert sum(fresh) == points
+
+
+def test_image_point_leaving_upper_half_plane_raises():
+    # Im(Az) = y/|cz + d|^2 underflows to 0 at a checked z
+    with pytest.raises(InvalidInput, match="upper half-plane"):
+        delta_cocycle(F1, sl2z(1, 0, 1, 1), (1e15 + 1e-300j,))
 
 
 def test_lam_translation_invariance():

@@ -5,14 +5,14 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hmsums import unit_domain
 from hmsums.field_arith import make_field
 from hmsums.quasi_elliptic import quasi_data
 from hmsums.unit_domain import (CapExceeded, InvalidInput, TruncationParams,
                                 module_orbit_arrays)
-from oracles import (_box, _eps_action, enumerate_module_orbits,
+from oracles import (_box, _eps_action, beta_embs, enumerate_module_orbits,
                      enumerate_tp_orbits, enumerate_unit_orbits, log_eta1,
                      log_ratio, module_orbit_rep, norm_beta, rel_norm_num,
                      tp_orbit_rep, tp_unit, unit_orbit_rep, weighted_lattice)
@@ -310,13 +310,124 @@ def test_exact_norm_paths_agree(monkeypatch):
 
 
 def test_module_orbit_cap():
-    # at X = 500 the m-boxes of A1 span 1,089 rows and 2,950 candidates for
-    # 386 representatives
-    assert len(enumerate_module_orbits(_a1_data(), 500.0, 2950)) == 386
-    with pytest.raises(CapExceeded, match="2950 points"):
-        enumerate_module_orbits(_a1_data(), 500.0, max_terms=2000)
+    # at X = 500 the m-boxes of A1 hold 1,164 candidates for 386
+    # representatives
+    assert len(enumerate_module_orbits(_a1_data(), 500.0, 1164)) == 386
+    with pytest.raises(CapExceeded, match="1164 points"):
+        enumerate_module_orbits(_a1_data(), 500.0, max_terms=1163)
     from hmsums import lfunctions
     assert lfunctions.CapExceeded is CapExceeded
+    # boxes whose ends pass int64 raise too, in degree 2 and over Q
+    B1 = make_field(1).matrix(2, 3, 1, 2)
+    for qd in (_a1_data(), quasi_data(B1)):
+        with pytest.raises(CapExceeded, match="lattice box too large"):
+            module_orbit_arrays(qd, 1e40)
+
+
+def _rep_box(qd, X):
+    """Coordinate bounds (|m.a|, |m.b|, |n.a|, |n.b|) of every orbit
+    representative at norm bound X, from the windows alone: |u| <= Wu,
+    |v| <= Wv = 2 R_F and |N| <= X give |beta_r1|, |beta_r2| <= R and
+    |beta_c| <= C, and beta = m + n*omega is solved for the coordinates."""
+    F = qd.field
+    Wu = abs(math.log(abs(qd.eps_r1))) + 1e-6
+    Wv = 0.0 if F.n == 1 else 2 * F.R_F + 1e-6
+    C = math.exp((math.log(X) + Wv) / 4)
+    R = (math.sqrt(X) if F.n == 1 else C) * math.exp(Wu / 2)
+    nj = 2 * R / (qd.omega_r1 - qd.omega_r2)
+    mj = R + nj * abs(qd.omega_r1)
+    if F.n == 1:
+        return (math.ceil(mj), 0, math.ceil(nj), 0)
+    wc = qd.omega_c[0]
+    nk = C / wc.imag
+    mk = C + nk * abs(wc.real)
+    wj = F.w_embs[qd.j]
+    box = []
+    for xj, xk in ((mj, mk), (nj, nk)):
+        xb = (xj + xk) / abs(F.w_embs[0] - F.w_embs[1])
+        box += [math.ceil(xj + xb * abs(wj)), math.ceil(xb)]
+    return tuple(box)
+
+
+@st.composite
+def _quasi_elliptic_matrices(draw):
+    """[[0, -1], [1, t]] over Q(sqrt D) with one |t_k| > 2 and the other
+    below 2, or a product of two [[0, -1], [1, t]] over Q with trace
+    outside [-2, 2]; then the matrix, its inverse, square or negative."""
+    D = draw(st.sampled_from([1] + SUPPORTED))
+    F = make_field(D)
+    if D == 1:
+        t1, t2 = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+        assume(abs(t1 * t2 - 2) > 2)
+        A = F.matrix(0, -1, 1, t1) * F.matrix(0, -1, 1, t2)
+    else:
+        e = draw(st.sampled_from([0, 1]))            # the elliptic place
+        b = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        a0 = math.ceil(-2 - b * F.w_embs[e])
+        a = a0 + draw(st.integers(0, 3))
+        t = F.elem(a, b)
+        assume(abs(t.emb(e)) < 2 < abs(t.emb(1 - e)))
+        A = F.matrix(0, -1, 1, t)
+    how = draw(st.sampled_from(["A", "inv", "sq", "neg"]))
+    return {"A": A, "inv": A.inv(), "sq": A * A, "neg": -A}[how]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_quasi_elliptic_matrices(), st.integers(1, 60))
+# with t = 3 - 2w over Q(sqrt 5), representatives with beta_r2 < 0 lie on
+# both sides of the root split; over Q, norms equal to X put
+# representatives on the ends of the beta_r1 boxes
+@example(A=make_field(5).matrix(0, -1, 1, (3, -2)), X=30)
+@example(A=make_field(1).matrix(-1, -3, 3, 8), X=1)
+@example(A=make_field(1).matrix(2, 3, 1, 2), X=13)
+def test_module_orbits_match_brute_force(A, X):
+    # the exact per-n boxes of module_orbit_arrays find the same
+    # representatives, in the same order, as the brute-force box reduced
+    # orbitwise
+    qd = quasi_data(A)
+    box = _rep_box(qd, X)
+    assume(math.prod(2 * r + 1 for r in box) <= 300_000)
+    assert enumerate_module_orbits(qd, X) == _brute_reps(qd, X, box)
+
+
+@pytest.mark.parametrize("name,u_ties,v_ties", [("A1", 110, 24),
+                                                 ("A1P", 110, 92)])
+def test_module_orbit_window_ties(name, u_ties, v_ties):
+    # at X = 8000 these representatives sit within 1e-7 of the u- or
+    # v-edge of the window, where the beta_r1 intervals end; of each tied
+    # pair, beta at -Wu (or -Wv) and its unit multiple at +Wu (or +Wv),
+    # exactly the first is kept
+    qd = _a1_data() if name == "A1" else quasi_data(_A1P)
+    F = qd.field
+    j, k = qd.j, 1 - qd.j
+    orb = module_orbit_arrays(qd, 8000.0)
+    Wu, Wv = abs(math.log(abs(qd.eps_r1))), 2 * F.R_F
+
+    def uv(m, n):
+        b1, b2, (bc,) = beta_embs(qd, m, n)
+        return (math.log(abs(b1)) - math.log(abs(b2)),
+                math.log(abs(b1 * b2)) - 2 * math.log(abs(bc)))
+
+    reps = list(zip(*(x.tolist() for x in (orb.ma, orb.mb, orb.na, orb.nb))))
+    kept = set(reps)
+    ties = [0, 0]
+    for ma, mb, na, nb in reps:
+        m, n = F.elem(ma, mb), F.elem(na, nb)
+        u, v = uv(m, n)
+        for i, (x, W) in enumerate(((u, Wu), (v, Wv))):
+            if abs(abs(x) - W) >= 1e-7:
+                continue
+            ties[i] += 1
+            assert x < 0
+            if i == 0:
+                pair = [_eps_action(qd, m, n, s) for s in (1, -1)]
+            else:
+                pair = [(e * m, e * n) for e in (F.eps_fund,
+                                                 F.eps_fund.pow(-1))]
+            (pm, pn), = [p for p in pair if abs(uv(*p)[i] - W) < 1e-7]
+            assert (pm.a, pm.b, pn.a, pn.b) not in kept
+            assert module_orbit_rep(qd, pm, pn) == (m, n)
+    assert ties == [u_ties, v_ties]
 
 
 def test_caps_raise_under_optimize():
