@@ -24,7 +24,7 @@ from .field_arith import (FieldData, NotCoprime, OFElem, check_field,
                           divide_exact, divmod_near, ext_gcd, kronecker,
                           of_gcd, residues_mod)
 from .eta_engine import (_insert, _off_indices, _prime_powers, _y_rest,
-                         apex_point, check_j, phi)
+                         check_j, phi)
 from .unit_domain import InvalidInput, TruncationParams
 
 
@@ -71,8 +71,7 @@ def sum_s(field: FieldData, d: OFElem, c: OFElem, z_hat: tuple, j: int = 0,
     a, b = ext_gcd(c, d)
     A = field.matrix(a, b, c, d)
     cj, dj = c.emb(j), d.emb(j)
-    p = phi(field, A, z=_insert(z_hat, j, apex_point(field, A)[j]), j=j,
-            trunc=trunc)
+    p = phi(field, A, z=_insert(z_hat, j, 1j), j=j, trunc=trunc)
     sgn = 1.0 if cj > 0 else -1.0
     return (-sgn * p + field.kappa / abs(cj)
             * (a.emb(j) * moebius_factor(c, d, z_hat, j)

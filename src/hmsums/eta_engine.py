@@ -307,12 +307,6 @@ def lam(field: FieldData, z: tuple, j: int = 0,
             - math.sqrt(field.d_F) / (2 * field.R_F) * om.value)
 
 
-def h_func(field: FieldData, z: tuple, j: int = 0,
-           trunc: TruncationParams = TruncationParams()) -> float:
-    """The real-analytic invariant h_j(z) = -4 Re Lambda_j(z)."""
-    return -4.0 * lam(field, z, j, trunc).real
-
-
 def delta_cocycle(field: FieldData, A: ModMatrix, z: tuple, j: int = 0,
                   trunc: TruncationParams = TruncationParams()) -> complex:
     """Transformation defect of Lambda_j under A (for c != 0):
@@ -361,20 +355,22 @@ def phi(field: FieldData, A: ModMatrix, z: tuple = None, j: int = 0,
         trunc: TruncationParams = TruncationParams()) -> float:
     """Rational-valued cocycle phi_j(A) (Rademacher function / 12 when n = 1).
 
-    For matrices with c != 0 the value does not depend on z; the default
-    evaluation point makes the logarithmic term vanish identically.  For
-    upper-triangular matrices the closed form kappa * b_j d_j * prod y_k is
-    used (z-dependent in degree 2, via the off-components of z only).
+    The value depends on the off-components (z_k)_{k != j} of z only, so z_j
+    is ignored for every A; z defaults to the apex point of A (i in every
+    component when c = 0).  For c != 0 the defect is evaluated at z_j =
+    -d_j/c_j + i/|c_j|: its logarithmic term vanishes there, and the smaller
+    height of z_j and A_j z_j is largest, so the series is cheapest.  For
+    upper-triangular A the closed form kappa * b_j d_j * prod_{k != j} y_k
+    is used.
     """
     check_field(field, A)
-    if not A.c:
-        if z is None:
-            z = tuple(1j for _ in range(field.n))
-        z = check_uhp(field, z, j)
-        bd = (A.b * A.d).emb(j)
-        return field.kappa * bd * _y_rest(z[:j] + z[j + 1:])
     if z is None:
-        z = apex_point(field, A)
+        z = apex_point(field, A) if A.c else (1j,) * field.n
+    z = check_uhp(field, z, j)
+    if not A.c:
+        return field.kappa * (A.b * A.d).emb(j) * _y_rest(z[:j] + z[j + 1:])
+    cj, dj = A.c.emb(j), A.d.emb(j)
+    z = _UHPPoint(z[:j] + (-dj / cj + 1j / abs(cj),) + z[j + 1:])
     return delta_cocycle(field, A, z, j, trunc).imag / math.pi
 
 

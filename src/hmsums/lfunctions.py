@@ -113,7 +113,7 @@ def l_a(A: ModMatrix, s: complex, norm_bound: float = 2000.0,
     orbits, log|N(beta)|, sign(beta_r1 beta_r2) and the count for the tail
     are kept for the last 8 such triples (about 16 bytes per
     representative, 0.2 MB for A1^2 at X = 8000, 12,594 representatives).
-    On a 2-core VM at X = 8000 a first call takes 7-23 ms per matrix and a
+    On a 2-core VM at X = 8000 a first call takes 6-12 ms per matrix and a
     call at a new s for a kept (A, X) 0.1-0.3 ms; the values are the same
     either way."""
     s = complex(s)

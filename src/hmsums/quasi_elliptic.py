@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .field_arith import (FieldData, InvalidInput, ModMatrix, OFElem,
                           check_field, identity)
-from .eta_engine import _insert, _off_indices, apex_point, check_j, phi
+from .eta_engine import _insert, _off_indices, check_j, phi
 from .unit_domain import TruncationParams
 
 
@@ -153,8 +153,7 @@ def psi(field: FieldData, A: ModMatrix, j: int = None,
     For quasi-elliptic A the hyperbolic index and omega_c come from
     quasi_data; for elliptic A the index j must select the distinguished
     embedding (default 0).  The off-components of the evaluation point are
-    the elliptic fixed points; the distinguished component is irrelevant and
-    chosen to keep the series cheap.
+    the elliptic fixed points; phi ignores the distinguished component.
     """
     if j is not None:
         check_j(field, j)
@@ -172,8 +171,7 @@ def psi(field: FieldData, A: ModMatrix, j: int = None,
             raise NotQuasiElliptic(
                 "distinguished embedding must be the hyperbolic one")
         j, wc = data.j, data.omega_c
-    p = phi(field, A, z=_insert(wc, j, apex_point(field, A)[j]), j=j,
-            trunc=trunc)
+    p = phi(field, A, z=_insert(wc, j, 1j), j=j, trunc=trunc)
     n, sct = field.n, _sign_c_tr(A, j)
     return (2 ** n) * field.R_F * p - 2 ** (n - 2) * field.R_F * sct
 

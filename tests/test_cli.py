@@ -8,9 +8,9 @@ import sys
 import pytest
 
 from hmsums.cli import build_parser, run
-from hmsums.eta_engine import _insert, apex_point, phi
+from hmsums.eta_engine import _insert, phi
 from hmsums.field_arith import make_field
-from hmsums.unit_domain import TruncationParams
+from hmsums.unit_domain import CapExceeded, TruncationParams
 
 A1 = "[[[-2,-1],[1,1]],[[3,1],[-2,-1]]]"
 # the flags of each subcommand, each one read by its body: 46 values
@@ -135,13 +135,13 @@ def test_phi_degree_one_matches_rademacher(capsys):
 
 @pytest.mark.parametrize("j", [0, 1])
 def test_phi_off_point(capsys, j):
-    # --z gives the off-component; the component at j is the apex of A
+    # --z gives the off-component; phi ignores the component at j
     code, rep = capture(capsys, ["phi", "--d", "7", "--matrix", A1,
                                  "--z", "0.3+1.1i", "--j", str(j)])
     assert code == 0
     F7 = make_field(7)
     A = F7.matrix((-2, -1), (1, 1), (3, 1), (-2, -1))
-    z = _insert((0.3 + 1.1j,), j, apex_point(F7, A)[j])
+    z = _insert((0.3 + 1.1j,), j, -0.4 + 0.01j)
     assert rep["value"] == phi(F7, A, z=z, j=j)
     if j == 0:
         assert rep["value"] == -0.6138007551219995
@@ -210,6 +210,30 @@ def test_verify_cocycle_campaign(capsys):
     assert rep["aggregate"]["pass"] is True
     assert rep["aggregate"]["max_defect"] < rep["tol"]
     assert len(rep["cases"]) == 3
+    assert all(len(c["inputs"]["z"]) == 2 for c in rep["cases"])
+
+
+def test_verify_reports_a_refused_draw_as_a_case(capsys):
+    # at D = 3, seed 2, one phi of trial 12 passes the series term cap: the
+    # draw is one failed case with its inputs, not an error for the report
+    code, rep = capture(capsys, ["verify", "cocycle", "--d", "3",
+                                 "--trials", "100", "--seed", "2"])
+    assert code == 1 and "error" not in rep
+    assert rep["aggregate"]["pass"] is False
+    failed = [c for c in rep["cases"] if "defect" not in c]
+    assert len(rep["cases"]) == 100 and len(failed) == 1
+    assert failed[0]["trial"] == 12
+    assert failed[0]["error"] == "CapExceeded: series exceeds term cap"
+    # its inputs replay the refusal
+    inputs, F3 = failed[0]["inputs"], make_field(3)
+    A, B = (F3.matrix(*((int(a), int(b)) for a, b in
+                        re.findall(r"\((-?\d+)\+(-?\d+)", inputs[k])))
+            for k in ("A", "B"))
+    z = tuple(complex(x, y) for x, y in inputs["z"])
+    Bz = tuple(B.moebius(k, z[k]) for k in range(2))
+    with pytest.raises(CapExceeded):
+        for M, w in ((A * B, z), (A, Bz), (B, z)):
+            phi(F3, M, w, inputs["j"])
 
 
 def test_verify_reciprocity_campaign(capsys):
@@ -217,6 +241,7 @@ def test_verify_reciprocity_campaign(capsys):
                                  "--trials", "3", "--seed", "2"])
     assert code == 0
     assert rep["aggregate"]["max_defect"] < 1e-6
+    assert all(len(c["inputs"]["z_hat"]) == 1 for c in rep["cases"])
 
 
 @pytest.mark.parametrize("D", [1, 2, 3, 5, 7, 13])
@@ -228,6 +253,7 @@ def test_verify_hecke_campaign(capsys, D):
     assert code == 0
     assert rep["aggregate"]["max_defect"] < 1e-5
     assert len(rep["cases"]) == 2 * (2 if D in (1, 3) else 3)
+    assert all(len(c["inputs"]["z_hat"]) == (D > 1) for c in rep["cases"])
 
 
 def test_verify_hecke_cap_scales_with_the_prime(capsys):
@@ -274,7 +300,7 @@ def test_scipy_loaded_only_by_eisenstein_series():
     code = ("import contextlib, io, sys\n"
             "import hmsums.cli as cli\n"
             "from hmsums.lfunctions import eis\n"
-            "from hmsums.unit_domain import TruncationParams\n"
+            "from hmsums.unit_domain import CapExceeded, TruncationParams\n"
             "F = cli.make_field(7)\n"
             "A = F.matrix((-2, -1), (1, 1), (3, 1), (-2, -1))\n"
             "cli.phi(F, A)\n"
